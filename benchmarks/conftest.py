@@ -4,7 +4,7 @@ Each benchmark regenerates one paper figure/table via its experiment driver
 (`repro.experiments.*`) at a reduced scale, asserts the figure's *shape*
 checks (who wins, by roughly what factor), and reports the driver's runtime
 through pytest-benchmark.  Run the full-scale reproduction with
-``python -m repro.experiments.<id>`` instead.
+``python -m repro run <id>`` instead.
 """
 
 from __future__ import annotations

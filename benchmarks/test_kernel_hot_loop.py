@@ -3,16 +3,11 @@
 These isolate what ``Simulator.run()`` costs per event with nothing on
 top: tuple-heap push/pop with heavy same-instant tie-breaking, the fully
 unguarded drain loop, the batched metrics-on loop, and cancellation
-churn.  The figure-level twin is the ``micro_kernel_dispatch``
-experiment, which the ``kernel_dispatch`` bench point tracks in
-``python -m repro bench``.
+churn.
 """
 
 from __future__ import annotations
 
-from conftest import run_and_check
-
-from repro.experiments import micro_kernel_dispatch as experiment
 from repro.obs.metrics import MetricsRegistry, install, uninstall
 from repro.sim.kernel import Simulator
 
@@ -36,12 +31,6 @@ def _self_rescheduling_sim(n_actors: int = 32, per_actor: int = 500) -> Simulato
     for index in range(n_actors):
         sim.schedule(rng.randrange(0, 4) * 0.5, make_actor(index))
     return sim
-
-
-def test_kernel_dispatch_experiment(benchmark):
-    """The curated bench point's workload, through the registry."""
-    result = run_and_check(benchmark, experiment, scale=0.05)
-    assert result.all_checks_pass
 
 
 def test_unguarded_drain_loop(benchmark):

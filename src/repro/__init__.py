@@ -18,8 +18,6 @@ architecture section of README.md for the internal/public split):
 * :func:`run_experiment` — drive one workload against a cluster;
 * :mod:`repro.engine` / :func:`get_kernel` — simulator-kernel selection
   (pure-python vs the optional compiled extension);
-* :func:`run_bench` — the tracked performance snapshot
-  (``python -m repro bench``);
 * :func:`check_history` — the client-visible consistency checker
   (``python -m repro check``);
 * :func:`run_shard` — one shard of the planet-scale simulation
@@ -57,7 +55,6 @@ __all__ = [
     "get_kernel",
     "run_experiment",
     "RunConfig",
-    "run_bench",
     "check_history",
     "run_shard",
     "__version__",
@@ -71,7 +68,6 @@ _LAZY = {
     "get_kernel": ("repro.engine", "get_kernel"),
     "run_experiment": ("repro.harness.runner", "run_experiment"),
     "RunConfig": ("repro.harness.config", "RunConfig"),
-    "run_bench": ("repro.harness.bench", "run_bench"),
     "check_history": ("repro.check.checker", "check_history"),
     "run_shard": ("repro.scale.shard", "run_shard"),
 }

@@ -1,6 +1,5 @@
 /* Compiled simulator kernel: C port of repro.sim.events + repro.sim.kernel
- * plus the quiet-path message send from repro.net.network and the
- * kernel-dispatch microbenchmark workload.
+ * plus the quiet-path message send from repro.net.network.
  *
  * Contract: byte-identical observable behaviour to the pure-python kernel.
  * The heap stores (time, seq, event) with lazy cancellation exactly like
@@ -20,11 +19,10 @@
 /* Interned / cached objects (module-lifetime). */
 static PyObject *str_enabled, *str__tracer, *str_pid, *str_inc, *str_max_gauge;
 static PyObject *str_sim_events, *str_sim_queue_depth, *str_sim_now_ms;
-static PyObject *str__observe_dispatch, *str_getrandbits, *str_kwarg_pid;
+static PyObject *str__observe_dispatch, *str_kwarg_pid;
 static PyObject *str_messages_sent, *str_sender, *str_recipient, *str_sent_at;
 static PyObject *str_datacenter, *str_loss_probability;
 static PyObject *empty_tuple;
-static PyObject *int_four;
 static PyObject *int_one;
 
 /* ------------------------------------------------------------------ */
@@ -1131,340 +1129,6 @@ static PyTypeObject CSim_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* DispatchWorkload: the MK microbenchmark's actors, compiled.         */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    CSim *sim;              /* strong */
-    PyObject *getrandbits;  /* bound rng.getrandbits */
-    PyObject *victim;       /* the shared victim callable */
-    long long mod;
-    long long cancel_every;
-    long long fired;
-    long long cancelled;
-    long long daemon_ticks;
-    long long checksum;
-} CWorkload;
-
-typedef struct {
-    PyObject_HEAD
-    CWorkload *w;
-    long long index;
-    long long remaining;
-} CActor;
-
-typedef struct {
-    PyObject_HEAD
-    CWorkload *w;
-} CTick;  /* victim and heartbeat share this layout */
-
-static PyTypeObject CWorkload_Type;
-static PyTypeObject CActor_Type;
-static PyTypeObject CVictim_Type;
-static PyTypeObject CHeartbeat_Type;
-
-/* random.Random.randrange(0, 8) == _randbelow_with_getrandbits(8):
- * k = (8).bit_length() = 4; draw getrandbits(4); reject while r >= 8.
- * Replicated exactly so the compiled workload consumes the Mersenne
- * stream bit-for-bit like the interpreted one. */
-static long
-crand_below8(CWorkload *w)
-{
-    for (;;) {
-        long v;
-        PyObject *r = PyObject_CallOneArg(w->getrandbits, int_four);
-        if (r == NULL)
-            return -1;
-        v = PyLong_AsLong(r);
-        Py_DECREF(r);
-        if (v == -1 && PyErr_Occurred())
-            return -1;
-        if (v < 8)
-            return v;
-    }
-}
-
-/* victim() — scheduled then immediately cancelled; never fires in a
- * correct kernel, but the checksum fold is implemented for parity. */
-static PyObject *
-cvictim_call(CTick *self, PyObject *args, PyObject *kwds)
-{
-    CWorkload *w = self->w;
-    w->checksum = (w->checksum * 31 + 999983) % w->mod;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-cheartbeat_call(CTick *self, PyObject *args, PyObject *kwds)
-{
-    CWorkload *w = self->w;
-    CEvent *ev;
-    w->daemon_ticks += 1;
-    ev = cq_push_internal(w->sim->queue, w->sim->now + 50.0,
-                          (PyObject *)self, empty_tuple, 1);
-    if (ev == NULL)
-        return NULL;
-    Py_DECREF(ev);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-cactor_call(CActor *self, PyObject *args, PyObject *kwds)
-{
-    CWorkload *w = self->w;
-    CSim *sim = w->sim;
-    CEvent *ev;
-    w->fired += 1;
-    w->checksum = (w->checksum * 31 + self->index
-                   + (long long)(sim->now * 2.0)) % w->mod;
-    if (w->fired % w->cancel_every == 0) {
-        /* event = sim.schedule(1.0, victim); event.cancel() */
-        ev = cq_push_internal(sim->queue, sim->now + 1.0, w->victim,
-                              empty_tuple, 0);
-        if (ev == NULL)
-            return NULL;
-        cevent_cancel_internal(ev);
-        Py_DECREF(ev);
-        w->cancelled += 1;
-    }
-    self->remaining -= 1;
-    if (self->remaining > 0) {
-        long r = crand_below8(w);
-        if (r < 0)
-            return NULL;
-        ev = cq_push_internal(sim->queue, sim->now + (double)r * 0.5,
-                              (PyObject *)self, empty_tuple, 0);
-        if (ev == NULL)
-            return NULL;
-        Py_DECREF(ev);
-    }
-    Py_RETURN_NONE;
-}
-
-static int
-cactor_traverse(CActor *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->w);
-    return 0;
-}
-
-static int
-cactor_clear(CActor *self)
-{
-    Py_CLEAR(self->w);
-    return 0;
-}
-
-static void
-cactor_dealloc(CActor *self)
-{
-    PyObject_GC_UnTrack(self);
-    cactor_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static int
-ctick_traverse(CTick *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->w);
-    return 0;
-}
-
-static int
-ctick_clear(CTick *self)
-{
-    Py_CLEAR(self->w);
-    return 0;
-}
-
-static void
-ctick_dealloc(CTick *self)
-{
-    PyObject_GC_UnTrack(self);
-    ctick_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyTypeObject CActor_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel._DispatchActor",
-    .tp_basicsize = sizeof(CActor),
-    .tp_dealloc = (destructor)cactor_dealloc,
-    .tp_call = (ternaryfunc)cactor_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)cactor_traverse,
-    .tp_clear = (inquiry)cactor_clear,
-};
-
-static PyTypeObject CVictim_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel._DispatchVictim",
-    .tp_basicsize = sizeof(CTick),
-    .tp_dealloc = (destructor)ctick_dealloc,
-    .tp_call = (ternaryfunc)cvictim_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)ctick_traverse,
-    .tp_clear = (inquiry)ctick_clear,
-};
-
-static PyTypeObject CHeartbeat_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel._DispatchHeartbeat",
-    .tp_basicsize = sizeof(CTick),
-    .tp_dealloc = (destructor)ctick_dealloc,
-    .tp_call = (ternaryfunc)cheartbeat_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)ctick_traverse,
-    .tp_clear = (inquiry)ctick_clear,
-};
-
-static int
-cworkload_traverse(CWorkload *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->sim);
-    Py_VISIT(self->getrandbits);
-    Py_VISIT(self->victim);
-    return 0;
-}
-
-static int
-cworkload_clear(CWorkload *self)
-{
-    Py_CLEAR(self->sim);
-    Py_CLEAR(self->getrandbits);
-    Py_CLEAR(self->victim);
-    return 0;
-}
-
-static void
-cworkload_dealloc(CWorkload *self)
-{
-    PyObject_GC_UnTrack(self);
-    cworkload_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static PyObject *
-cworkload_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    CWorkload *self = (CWorkload *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    self->sim = NULL;
-    self->getrandbits = NULL;
-    self->victim = NULL;
-    self->mod = 1000000007;
-    self->cancel_every = 16;
-    self->fired = self->cancelled = self->daemon_ticks = self->checksum = 0;
-    return (PyObject *)self;
-}
-
-/* DispatchWorkload(sim, rng, per_actor, actors=64, cancel_every=16,
- *                  mod=1000000007): schedules the heartbeat daemon and one
- * initial event per actor — the exact python setup order, consuming the
- * rng identically. */
-static int
-cworkload_init(CWorkload *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"sim", "rng", "per_actor", "actors",
-                             "cancel_every", "mod", NULL};
-    PyObject *sim_obj, *rng_obj;
-    long long per_actor, actors = 64, cancel_every = 16, mod = 1000000007;
-    long long index;
-    CTick *heartbeat;
-    CEvent *ev;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOL|LLL", kwlist,
-                                     &sim_obj, &rng_obj, &per_actor,
-                                     &actors, &cancel_every, &mod))
-        return -1;
-    if (!PyObject_TypeCheck(sim_obj, &CSim_Type)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "DispatchWorkload needs a compiled SimulatorBase");
-        return -1;
-    }
-    if (csim_check_ready((CSim *)sim_obj) < 0)
-        return -1;
-    Py_INCREF(sim_obj);
-    Py_XSETREF(self->sim, (CSim *)sim_obj);
-    Py_XSETREF(self->getrandbits, PyObject_GetAttr(rng_obj, str_getrandbits));
-    if (self->getrandbits == NULL)
-        return -1;
-    self->mod = mod;
-    self->cancel_every = cancel_every;
-    self->fired = self->cancelled = self->daemon_ticks = self->checksum = 0;
-
-    {
-        CTick *victim = PyObject_GC_New(CTick, &CVictim_Type);
-        if (victim == NULL)
-            return -1;
-        Py_INCREF(self);
-        victim->w = self;
-        PyObject_GC_Track(victim);
-        Py_XSETREF(self->victim, (PyObject *)victim);
-    }
-
-    heartbeat = PyObject_GC_New(CTick, &CHeartbeat_Type);
-    if (heartbeat == NULL)
-        return -1;
-    Py_INCREF(self);
-    heartbeat->w = self;
-    PyObject_GC_Track(heartbeat);
-    /* sim.schedule_daemon(50.0, heartbeat) */
-    ev = cq_push_internal(self->sim->queue, self->sim->now + 50.0,
-                          (PyObject *)heartbeat, empty_tuple, 1);
-    Py_DECREF(heartbeat);
-    if (ev == NULL)
-        return -1;
-    Py_DECREF(ev);
-
-    for (index = 0; index < actors; index++) {
-        CActor *actor;
-        long r = crand_below8(self);
-        if (r < 0)
-            return -1;
-        actor = PyObject_GC_New(CActor, &CActor_Type);
-        if (actor == NULL)
-            return -1;
-        Py_INCREF(self);
-        actor->w = self;
-        actor->index = index;
-        actor->remaining = per_actor;
-        PyObject_GC_Track(actor);
-        ev = cq_push_internal(self->sim->queue,
-                              self->sim->now + (double)r * 0.5,
-                              (PyObject *)actor, empty_tuple, 0);
-        Py_DECREF(actor);
-        if (ev == NULL)
-            return -1;
-        Py_DECREF(ev);
-    }
-    return 0;
-}
-
-static PyMemberDef cworkload_members[] = {
-    {"fired", T_LONGLONG, offsetof(CWorkload, fired), READONLY, NULL},
-    {"cancelled", T_LONGLONG, offsetof(CWorkload, cancelled), READONLY, NULL},
-    {"daemon_ticks", T_LONGLONG, offsetof(CWorkload, daemon_ticks), READONLY, NULL},
-    {"checksum", T_LONGLONG, offsetof(CWorkload, checksum), READONLY, NULL},
-    {NULL, 0, 0, 0, NULL},
-};
-
-static PyTypeObject CWorkload_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel.DispatchWorkload",
-    .tp_basicsize = sizeof(CWorkload),
-    .tp_dealloc = (destructor)cworkload_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled MK kernel-dispatch workload (actors + victim + heartbeat).",
-    .tp_traverse = (traverseproc)cworkload_traverse,
-    .tp_clear = (inquiry)cworkload_clear,
-    .tp_members = cworkload_members,
-    .tp_init = (initproc)cworkload_init,
-    .tp_new = cworkload_new,
-};
-
-/* ------------------------------------------------------------------ */
 /* NetSender: the quiet-path Network.send, compiled.                   */
 /* ------------------------------------------------------------------ */
 
@@ -1772,7 +1436,6 @@ PyInit__ckernel(void)
     str_sim_queue_depth = PyUnicode_InternFromString("sim.queue_depth");
     str_sim_now_ms = PyUnicode_InternFromString("sim.now_ms");
     str__observe_dispatch = PyUnicode_InternFromString("_observe_dispatch");
-    str_getrandbits = PyUnicode_InternFromString("getrandbits");
     str_messages_sent = PyUnicode_InternFromString("messages_sent");
     str_sender = PyUnicode_InternFromString("sender");
     str_recipient = PyUnicode_InternFromString("recipient");
@@ -1783,25 +1446,19 @@ PyInit__ckernel(void)
         str_kwarg_pid == NULL || str_inc == NULL || str_max_gauge == NULL ||
         str_sim_events == NULL || str_sim_queue_depth == NULL ||
         str_sim_now_ms == NULL || str__observe_dispatch == NULL ||
-        str_getrandbits == NULL || str_messages_sent == NULL ||
-        str_sender == NULL || str_recipient == NULL || str_sent_at == NULL ||
+        str_messages_sent == NULL || str_sender == NULL ||
+        str_recipient == NULL || str_sent_at == NULL ||
         str_datacenter == NULL || str_loss_probability == NULL)
         return NULL;
     empty_tuple = PyTuple_New(0);
     if (empty_tuple == NULL)
-        return NULL;
-    int_four = PyLong_FromLong(4);
-    if (int_four == NULL)
         return NULL;
     int_one = PyLong_FromLong(1);
     if (int_one == NULL)
         return NULL;
 
     if (PyType_Ready(&CEvent_Type) < 0 || PyType_Ready(&CQueue_Type) < 0 ||
-        PyType_Ready(&CSim_Type) < 0 || PyType_Ready(&CWorkload_Type) < 0 ||
-        PyType_Ready(&CActor_Type) < 0 || PyType_Ready(&CVictim_Type) < 0 ||
-        PyType_Ready(&CHeartbeat_Type) < 0 ||
-        PyType_Ready(&CNetSender_Type) < 0)
+        PyType_Ready(&CSim_Type) < 0 || PyType_Ready(&CNetSender_Type) < 0)
         return NULL;
 
     m = PyModule_Create(&ckernel_module);
@@ -1813,8 +1470,6 @@ PyInit__ckernel(void)
     PyModule_AddObject(m, "EventQueue", (PyObject *)&CQueue_Type);
     Py_INCREF(&CSim_Type);
     PyModule_AddObject(m, "SimulatorBase", (PyObject *)&CSim_Type);
-    Py_INCREF(&CWorkload_Type);
-    PyModule_AddObject(m, "DispatchWorkload", (PyObject *)&CWorkload_Type);
     Py_INCREF(&CNetSender_Type);
     PyModule_AddObject(m, "NetSender", (PyObject *)&CNetSender_Type);
     PyModule_AddIntConstant(m, "ABI_VERSION", CKERNEL_ABI);

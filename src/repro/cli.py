@@ -173,43 +173,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness import bench
-
-    if args.compare is not None:
-        base_path, new_path = args.compare
-        try:
-            base = bench.load_bench(base_path)
-            new = bench.load_bench(new_path)
-            report = bench.compare_bench(base, new, threshold=args.threshold)
-        except (bench.BenchFormatError, ValueError) as exc:
-            raise SystemExit(f"bench compare: {exc}") from exc
-        print(report.render())
-        return 1 if report.regressions else 0
-
-    quick = args.quick
-    points = bench.QUICK if quick else bench.CURATED
-    label = args.label or ("quick" if quick else "local")
-    repeats = args.repeats if args.repeats is not None else (2 if quick else 3)
-    try:
-        document = bench.run_bench(
-            points,
-            repeats=repeats,
-            label=label,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-    except ValueError as exc:
-        raise SystemExit(f"bench: {exc}") from exc
-    out = args.out or bench.bench_path(label)
-    bench.write_bench(document, out)
-    total = sum(sum(p["wall_s"]) for p in document["points"].values())
-    print(
-        f"benchmarked {len(document['points'])} point(s) x {repeats} "
-        f"repeat(s) in {total:.1f}s -> {out}"
-    )
-    return 0
-
-
 def cmd_check_campaign(args: argparse.Namespace) -> int:
     from repro.check import campaign
     from repro.harness.parallel import SweepOptions, run_sweep
@@ -454,54 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and fold the rest into one row",
     )
     run_parser.set_defaults(func=cmd_run)
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="run the curated benchmark set and write BENCH_<label>.json, "
-        "or --compare two snapshots",
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="run the smoke subset (seconds, used by CI) instead of the "
-        "full curated set",
-    )
-    bench_parser.add_argument(
-        "--label",
-        default=None,
-        help="snapshot label; becomes BENCH_<label>.json "
-        "(default: 'quick' or 'local' by mode)",
-    )
-    bench_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        metavar="N",
-        help="timing samples per point (default: 3, or 2 with --quick)",
-    )
-    bench_parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="output path (default: BENCH_<label>.json in the current "
-        "directory)",
-    )
-    bench_parser.add_argument(
-        "--compare",
-        nargs=2,
-        metavar=("BASE", "NEW"),
-        default=None,
-        help="diff two BENCH_*.json snapshots instead of running; exits "
-        "non-zero when NEW regresses beyond noise",
-    )
-    bench_parser.add_argument(
-        "--threshold",
-        type=float,
-        default=0.05,
-        help="relative slowdown a point must exceed (beyond the bootstrap "
-        "CI) to count as a regression (default: 0.05)",
-    )
-    bench_parser.set_defaults(func=cmd_bench)
 
     check_parser = subparsers.add_parser(
         "check",

@@ -33,9 +33,6 @@ class ClusterConfig:
     # Simulator kernel implementation: "auto" (compiled when built, else
     # python), "compiled", or "python" — see repro.engine.
     backend: str = "auto"
-    # Vectorized per-instant latency draws (numpy); deterministic but a
-    # different rng discipline than per-send sampling, so off by default.
-    delivery_batching: bool = False
     jitter_sigma: float = 0.2
     loss_probability: float = 0.0
     wal_sync_delay_ms: float = 0.5
@@ -92,7 +89,6 @@ class Cluster:
             self.topology,
             latency=self.latency,
             loss_probability=self.config.loss_probability,
-            batch_delivery=self.config.delivery_batching,
         )
         self.storage_nodes: Dict[str, StorageNode] = {}
         self.coordinators: Dict[str, object] = {}

@@ -26,7 +26,7 @@ from typing import Optional
 
 from repro.core.session import PlanetConfig, PlanetSession
 from repro.core.transaction import PlanetTransaction
-from repro.stats.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 class PlanetClient:

@@ -27,11 +27,11 @@ from repro.core.likelihood import (
 from repro.core.stages import TxStage
 from repro.core.speculation import SpeculationManager
 from repro.core.transaction import PlanetTransaction
+from repro.obs.metrics import MetricsRegistry
 from repro.ops import AbortReason, Decision, Outcome, validate_isolation
 from repro.paxos.ballot import classic_quorum, fast_quorum
 from repro.sim.process import Waiter
 from repro.stats.calibration import CalibrationBins
-from repro.stats.metrics import MetricsRegistry
 
 
 @dataclass

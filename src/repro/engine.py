@@ -16,12 +16,15 @@ through :func:`get_kernel` / :func:`build_simulator`, so one override —
 in code, or the :func:`use` context manager — switches the whole stack.
 
 ``auto`` (the default everywhere) resolves to the compiled kernel when
-the extension importable, else the python kernel — so a checkout without
-a C toolchain behaves exactly as before.
+the extension is built, else the python kernel — so a checkout without
+a C toolchain behaves exactly as before.  An extension that is present
+but does not import (stale ABI, undefined symbol) is an error, never a
+silent fallback: see :func:`compiled_available`.
 """
 
 from __future__ import annotations
 
+import importlib.util
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterator, Optional, Type
@@ -33,31 +36,43 @@ BACKENDS = ("auto", "compiled", "python")
 #: ``--set engine.backend=...`` reaches serial and worker runs alike).
 _selected: ContextVar[Optional[str]] = ContextVar("engine_backend", default=None)
 
+_REBUILD = "python setup.py build_ext --inplace"
+
 _compiled_cls: Optional[type] = None
 _compiled_checked = False
-_compiled_error: Optional[str] = None
 
 
 class BackendUnavailableError(RuntimeError):
-    """Raised when ``backend="compiled"`` is requested but not built."""
+    """The compiled backend was requested but is not built, or is built
+    and does not import."""
 
 
 def _load_compiled() -> Optional[type]:
-    global _compiled_cls, _compiled_checked, _compiled_error
+    global _compiled_cls, _compiled_checked
     if not _compiled_checked:
-        _compiled_checked = True
-        try:
-            from repro.sim.compiled import CompiledSimulator
-
+        # Only "no such module" means not built.  A ``_ckernel*.so`` that
+        # is there and fails to import must not degrade ``auto`` to python
+        # and turn the parity suite into skips.
+        if importlib.util.find_spec("repro._ckernel") is not None:
+            try:
+                from repro.sim.compiled import CompiledSimulator
+            except ImportError as exc:
+                raise BackendUnavailableError(
+                    f"repro._ckernel is built but does not import ({exc}); "
+                    f"rebuild it with `{_REBUILD}` or delete the stale "
+                    "extension file"
+                ) from exc
             _compiled_cls = CompiledSimulator
-        except ImportError as exc:  # extension not built on this checkout
-            _compiled_cls = None
-            _compiled_error = str(exc)
+        _compiled_checked = True
     return _compiled_cls
 
 
 def compiled_available() -> bool:
-    """True when the ``repro._ckernel`` extension imports on this checkout."""
+    """True when the ``repro._ckernel`` extension is built and imports.
+
+    False only when no such module exists on this checkout; one that
+    exists and fails to import raises :class:`BackendUnavailableError`.
+    """
     return _load_compiled() is not None
 
 
@@ -93,9 +108,8 @@ def get_kernel(backend: str = "auto") -> Type:
     cls = _load_compiled()
     if cls is None:
         raise BackendUnavailableError(
-            "compiled kernel requested but repro._ckernel is not built "
-            f"(import error: {_compiled_error}); build it with "
-            "`python setup.py build_ext --inplace` or use backend='python'"
+            "compiled kernel requested but repro._ckernel is not built; "
+            f"build it with `{_REBUILD}` or use backend='python'"
         )
     return cls
 
@@ -135,11 +149,10 @@ def use(backend: Optional[str]) -> Iterator[None]:
 
 
 def describe() -> dict:
-    """Backend facts for CLI/status output and bench metadata."""
+    """Backend facts for CLI/status output and the tier-1 test header."""
     ambient = _selected.get()
     return {
         "available": ["python"] + (["compiled"] if compiled_available() else []),
         "auto_resolves_to": ambient
         or ("compiled" if compiled_available() else "python"),
-        "compiled_import_error": None if compiled_available() else _compiled_error,
     }

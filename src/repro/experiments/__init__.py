@@ -1,9 +1,10 @@
 """Experiment drivers — one module per reproduced figure/table.
 
-Every module exposes ``run(seed=0, scale=1.0) -> ExperimentResult`` and a
-``main()`` that prints the figure's rows/series plus shape checks.  ``scale``
-shrinks simulated duration/load so the same driver serves both the full
-reproduction (scale=1) and the pytest-benchmark harness (scale<1).
+Every module registers one ``SPEC`` (:mod:`repro.experiments.registry`);
+``python -m repro run <id>`` runs it and prints the figure's rows/series
+plus shape checks.  ``scale`` shrinks simulated duration/load so the same
+driver serves both the full reproduction (scale=1) and the
+pytest-benchmark harness (scale<1).
 
 | id  | artefact                                   | module              |
 |-----|--------------------------------------------|---------------------|
@@ -26,7 +27,6 @@ reproduction (scale=1) and the pytest-benchmark harness (scale<1).
 | T3  | full TPC-W mix, per-type breakdown         | t3_tpcw_mix         |
 | A4  | WAL group commit ablation                  | a4_group_commit     |
 | T4  | YCSB core workloads summary                | t4_ycsb             |
-| MK  | kernel dispatch microbenchmark             | micro_kernel_dispatch |
 | SC1 | sharded planet-scale sim, 1M users         | scaleout_1m         |
 | ISO | isolation matrix: observed vs predicted    | iso_matrix          |
 """
@@ -55,7 +55,6 @@ ALL_EXPERIMENTS = [
     "t3_tpcw_mix",
     "a4_group_commit",
     "t4_ycsb",
-    "micro_kernel_dispatch",
     "scaleout_1m",
     "iso_matrix",
 ]

@@ -137,16 +137,3 @@ SPEC = registry.register(
         reduce=_reduce,
     )
 )
-
-
-def run(*_args: object, **_kwargs: object) -> None:
-    """Removed pre-registry entry point; raises with the replacement."""
-    registry.removed_entry_point(SPEC.id)
-
-
-def main() -> None:
-    SPEC.run().print()
-
-
-if __name__ == "__main__":
-    main()

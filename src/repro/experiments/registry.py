@@ -234,18 +234,3 @@ def single_point_spec(
         reduce=reduce,
         derive_seeds=False,
     )
-
-
-def removed_entry_point(experiment_id: str) -> None:
-    """Raise for the retired pre-registry ``module.run()`` entry points.
-
-    The module-level ``run(seed, scale)`` wrappers were deprecated when the
-    registry landed and are now gone; the registry spec is the only driver
-    API.  Every old shim calls this so stale call sites fail with the
-    replacement spelled out instead of an AttributeError.
-    """
-    raise RuntimeError(
-        f"repro.experiments.{experiment_id}.run() has been removed; use "
-        f"repro.experiments.registry.get({experiment_id!r}).run(seed=..., "
-        f"scale=...) or `python -m repro run {experiment_id}` instead"
-    )

@@ -8,20 +8,6 @@ the module contract match every other driver.
 
 from __future__ import annotations
 
-from repro.experiments import registry
 from repro.scale.experiment import SPEC
 
-__all__ = ["SPEC", "run", "main"]
-
-
-def run(*_args: object, **_kwargs: object) -> None:
-    """Removed pre-registry entry point; raises with the replacement."""
-    registry.removed_entry_point(SPEC.id)
-
-
-def main() -> None:
-    SPEC.run().print()
-
-
-if __name__ == "__main__":
-    main()
+__all__ = ["SPEC"]

@@ -18,6 +18,7 @@ from typing import List, Optional
 
 from repro.harness.results import RunResult
 from repro.stats.bootstrap import ConfidenceInterval, percentile_ci
+from repro.stats.quantiles import interpolated_quantile
 
 
 def _commit_latencies(result: RunResult) -> List[float]:
@@ -86,30 +87,24 @@ def compare_runs(
     ci_a = percentile_ci(samples_a, percentile, n_resamples, confidence, rng=rng)
     ci_b = percentile_ci(samples_b, percentile, n_resamples, confidence, rng=rng)
 
-    def _percentile(ordered: List[float], p: float) -> float:
-        position = (p / 100.0) * (len(ordered) - 1)
-        low = int(position)
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
-
+    q = percentile / 100.0
     diffs = []
     n_a, n_b = len(samples_a), len(samples_b)
     for _ in range(n_resamples):
         resample_a = sorted(samples_a[rng.randrange(n_a)] for _ in range(n_a))
         resample_b = sorted(samples_b[rng.randrange(n_b)] for _ in range(n_b))
         diffs.append(
-            _percentile(resample_b, percentile) - _percentile(resample_a, percentile)
+            interpolated_quantile(resample_b, q) - interpolated_quantile(resample_a, q)
         )
     diffs.sort()
     alpha = (1.0 - confidence) / 2.0
-    point = _percentile(sorted(samples_b), percentile) - _percentile(
-        sorted(samples_a), percentile
+    point = interpolated_quantile(sorted(samples_b), q) - interpolated_quantile(
+        sorted(samples_a), q
     )
     difference_ci = ConfidenceInterval(
         point=point,
-        low=_percentile(diffs, 100.0 * alpha),
-        high=_percentile(diffs, 100.0 * (1.0 - alpha)),
+        low=interpolated_quantile(diffs, alpha),
+        high=interpolated_quantile(diffs, 1.0 - alpha),
         confidence=confidence,
     )
     return Comparison(

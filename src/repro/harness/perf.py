@@ -35,7 +35,7 @@ class PhaseTiming:
 
 @dataclass
 class PerfReport:
-    """Wall-clock accounting for one harness run (sweep or bench point)."""
+    """Wall-clock accounting for one harness run (a sweep)."""
 
     phases: List[PhaseTiming]
     wall_s: float

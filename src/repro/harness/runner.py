@@ -9,7 +9,7 @@ from repro.core.conflicts import ConflictTracker
 from repro.core.session import PlanetSession
 from repro.harness.config import RunConfig
 from repro.harness.results import RunResult
-from repro.stats.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.workload.clients import ClosedLoopClient, OpenLoopClient
 from repro.workload.spikes import apply_spikes
 

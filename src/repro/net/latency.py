@@ -102,27 +102,6 @@ class LatencyModel:
                     base = base * window.multiplier + window.extra_ms
         return max(base, self.min_latency_ms)
 
-    def sample_with_normal(
-        self, src: Datacenter, dst: Datacenter, now: float, z: float
-    ) -> float:
-        """One-way latency from a pre-drawn standard normal ``z``.
-
-        The batched-delivery path draws its normals vectorized (numpy)
-        and maps each through the same mean-one lognormal as
-        :meth:`sample_ms`; windows and the floor apply identically.
-        """
-        key = (src.index, dst.index)
-        base = self._base_one_way.get(key)
-        if base is None:
-            base = self._base_one_way[key] = self.topology.one_way_ms(src, dst)
-        if self.jitter_sigma > 0:
-            base *= math.exp(self._jitter_mu + self.jitter_sigma * z)
-        if self._windows:
-            for window in self._windows:
-                if window.active(now) and window.matches(src, dst):
-                    base = base * window.multiplier + window.extra_ms
-        return max(base, self.min_latency_ms)
-
     def quantile_ms(self, src: Datacenter, dst: Datacenter, q: float) -> float:
         """Analytic ``q``-quantile of the undisturbed one-way latency.
 

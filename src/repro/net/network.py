@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.net.latency import LatencyModel
 from repro.net.messages import Message
 from repro.net.partitions import LossWindow, PartitionManager
 from repro.net.topology import Datacenter, Topology
 from repro.sim.kernel import Simulator
-from repro.sim.rng import derive_seed
 
 try:  # the compiled quiet-path sender (optional; see repro.engine)
     from repro import _ckernel
@@ -56,7 +55,6 @@ class Network:
         topology: Topology,
         latency: Optional[LatencyModel] = None,
         loss_probability: float = 0.0,
-        batch_delivery: bool = False,
     ) -> None:
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError("loss_probability must be in [0, 1)")
@@ -71,34 +69,13 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        # Batched delivery (opt-in): latency jitter for every send of one
-        # simulated instant is drawn in a single vectorized numpy call at
-        # flush time.  Deterministic — the generator is seeded from the
-        # sim seed — and backend-independent, but a *different* rng
-        # discipline than per-send ``rng.gauss``, so batching is off by
-        # default and zero-batch runs stay byte-identical to history.
-        self.batch_delivery = bool(batch_delivery)
-        self._batch: List[Tuple[str, Message, Datacenter, Datacenter]] = []
-        self._batch_flush_pending = False
-        self._batch_rng = None
-        if self.batch_delivery:
-            import numpy as np
-
-            self._batch_rng = np.random.Generator(
-                np.random.PCG64(derive_seed(sim.seed, "network.batch"))
-            )
         # The compiled quiet-path sender: when the simulator kernel is
-        # compiled and delivery is unbatched, bind the C fast path over
-        # this instance's ``send``.  It handles only the fully-quiet case
-        # (no metrics/tracer/partitions/loss) and delegates everything
-        # else back to the python method — observable behaviour is
-        # byte-identical either way.
+        # compiled, bind the C fast path over this instance's ``send``.
+        # It handles only the fully-quiet case (no metrics/tracer/
+        # partitions/loss) and delegates everything else back to the
+        # python method — observable behaviour is byte-identical either way.
         self._csender = None
-        if (
-            not self.batch_delivery
-            and _ckernel is not None
-            and isinstance(sim, _ckernel.SimulatorBase)
-        ):
+        if _ckernel is not None and isinstance(sim, _ckernel.SimulatorBase):
             self._csender = _ckernel.NetSender(self, type(self).send.__get__(self))
             self.send = self._csender  # instance attr shadows the method
 
@@ -173,17 +150,6 @@ class Network:
                 )
             return
 
-        if self._batch_rng is not None:
-            # Defer the latency draw: every send of this instant is
-            # flushed together with one vectorized jitter draw.
-            self._batch.append(
-                (recipient_id, message, sender.datacenter, recipient.datacenter)
-            )
-            if not self._batch_flush_pending:
-                self._batch_flush_pending = True
-                sim.call_soon(self._flush_batch)
-            return
-
         delay = self.latency.sample_ms(
             sender.datacenter, recipient.datacenter, now, self._rng
         )
@@ -193,34 +159,6 @@ class Network:
                 kind=message.kind, src=sender_id, dst=recipient_id, delay_ms=delay,
             )
         sim.schedule(delay, self._deliver, recipient_id, message)
-
-    def _flush_batch(self) -> None:
-        """Deliver the current send burst with one vectorized jitter draw.
-
-        Runs at the same simulated instant as the sends it drains (it is
-        scheduled with ``call_soon`` by the first send of the instant), so
-        delivery times are identical in distribution to per-send sampling;
-        only the rng discipline differs (numpy standard normals instead of
-        ``Random.gauss``).
-        """
-        burst, self._batch = self._batch, []
-        self._batch_flush_pending = False
-        if not burst:
-            return
-        sim = self.sim
-        now = sim.now
-        tracer = sim.tracer
-        draws = self._batch_rng.standard_normal(len(burst))
-        latency = self.latency
-        for i, (recipient_id, message, src_dc, dst_dc) in enumerate(burst):
-            delay = latency.sample_with_normal(src_dc, dst_dc, now, draws[i])
-            if tracer.enabled:
-                tracer.emit(
-                    now, "message", "send",
-                    kind=message.kind, src=message.sender, dst=recipient_id,
-                    delay_ms=delay,
-                )
-            sim.schedule(delay, self._deliver, recipient_id, message)
 
     def _deliver(self, recipient_id: str, message: Message) -> None:
         sim = self.sim

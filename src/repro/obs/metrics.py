@@ -28,10 +28,9 @@ counts of simulated events); the registry itself never reads a wall
 clock — harness self-observability lives in
 :mod:`repro.harness.perf` instead.
 
-Like :mod:`repro.obs.events`, this module imports nothing from the rest
-of ``repro`` so any layer can use it without cycles.  The historical
-``repro.stats.metrics.MetricsRegistry`` was promoted here; the old
-import path remains as a shim.
+This module imports only :mod:`repro.stats.quantiles` (the shared
+percentile interpolation; ``repro.stats`` itself imports nothing from the
+rest of ``repro``), so any layer can use it without cycles.
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+from repro.stats.quantiles import interpolated_quantile
 
 
 class ValueHist:
@@ -65,16 +66,7 @@ class ValueHist:
         return len(self._samples)
 
     def percentile(self, p: float) -> float:
-        if not self._samples:
-            return math.nan
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = (p / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(position))
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        return interpolated_quantile(sorted(self._samples), p / 100.0)
 
     def mean(self) -> float:
         if not self._samples:
@@ -117,9 +109,8 @@ def _render(name: str, labels: Dict[str, Any]) -> str:
 class MetricsRegistry:
     """Counters, gauges, and labelled histograms for one collection scope.
 
-    Promoted from ``repro.stats.metrics``: the legacy per-run API
-    (``increment``/``observe_latency``/``record_point``) is preserved —
-    experiment runners still build one registry per run — and the
+    The per-run API (``increment``/``observe_latency``/``record_point``)
+    serves experiment runners, which build one registry per run, and the
     labelled facade (:meth:`inc`/:meth:`set_gauge`/:meth:`max_gauge`/
     :meth:`observe`) is what the system-wide instrumentation uses
     through :func:`install`.

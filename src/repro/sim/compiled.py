@@ -9,8 +9,9 @@ surface.  The observed-dispatch hook stays in python (it only runs when
 instrumentation is on) and samples the same raw heap length the
 interpreted loop does, keeping recorder digests byte-identical.
 
-Import of this module fails with ImportError when the extension was not
-built; :mod:`repro.engine` treats that as "backend unavailable".
+:mod:`repro.engine` imports this module only when ``repro._ckernel``
+exists; an ImportError from here (undefined symbol, ABI mismatch below)
+therefore means a stale build, which the engine reports as an error.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from repro.obs.metrics import current as current_metrics
 from repro.sim.rng import RngRegistry
 
 _EXPECTED_ABI = 1
-if getattr(_ckernel, "ABI_VERSION", None) != _EXPECTED_ABI:  # pragma: no cover
+if getattr(_ckernel, "ABI_VERSION", None) != _EXPECTED_ABI:
     raise ImportError(
         f"repro._ckernel ABI {getattr(_ckernel, 'ABI_VERSION', None)!r} != "
-        f"{_EXPECTED_ABI}; rebuild with `python setup.py build_ext --inplace`"
+        f"{_EXPECTED_ABI}"
     )
 
 

@@ -6,7 +6,6 @@ from repro.stats.reservoir import ReservoirSample
 from repro.stats.histogram import Histogram, LatencyCdf
 from repro.stats.bootstrap import ConfidenceInterval, bootstrap_ci, mean_ci, percentile_ci
 from repro.stats.calibration import CalibrationBins
-from repro.stats.metrics import MetricsRegistry
 
 __all__ = [
     "EwmaEstimator",
@@ -21,5 +20,4 @@ __all__ = [
     "bootstrap_ci",
     "percentile_ci",
     "mean_ci",
-    "MetricsRegistry",
 ]

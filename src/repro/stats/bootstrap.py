@@ -10,10 +10,11 @@ good enough for the heavy-tailed distributions commit latencies follow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, List, Optional, Sequence
+
+from repro.stats.quantiles import interpolated_quantile
 
 
 @dataclass(frozen=True)
@@ -32,18 +33,6 @@ class ConfidenceInterval:
 
     def contains(self, value: float) -> bool:
         return self.low <= value <= self.high
-
-
-def _percentile(ordered: Sequence[float], p: float) -> float:
-    if not ordered:
-        return math.nan
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (p / 100.0) * (len(ordered) - 1)
-    low = int(math.floor(position))
-    high = min(low + 1, len(ordered) - 1)
-    fraction = position - low
-    return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
 
 
 def bootstrap_ci(
@@ -76,8 +65,8 @@ def bootstrap_ci(
     alpha = (1.0 - confidence) / 2.0
     return ConfidenceInterval(
         point=point,
-        low=_percentile(estimates, 100.0 * alpha),
-        high=_percentile(estimates, 100.0 * (1.0 - alpha)),
+        low=interpolated_quantile(estimates, alpha),
+        high=interpolated_quantile(estimates, 1.0 - alpha),
         confidence=confidence,
     )
 
@@ -94,7 +83,7 @@ def percentile_ci(
         raise ValueError("p must be in [0, 100]")
     return bootstrap_ci(
         samples,
-        statistic=lambda ordered: _percentile(ordered, p),
+        statistic=lambda ordered: interpolated_quantile(ordered, p / 100.0),
         n_resamples=n_resamples,
         confidence=confidence,
         rng=rng,
@@ -113,45 +102,4 @@ def mean_ci(
         n_resamples=n_resamples,
         confidence=confidence,
         rng=rng,
-    )
-
-
-def diff_of_means_ci(
-    baseline: Sequence[float],
-    candidate: Sequence[float],
-    n_resamples: int = 1000,
-    confidence: float = 0.95,
-    rng: Optional[Random] = None,
-) -> ConfidenceInterval:
-    """Two-sample bootstrap CI of ``mean(candidate) - mean(baseline)``.
-
-    Each resample draws both groups independently with replacement, so the
-    interval reflects the noise of *both* measurements; a CI excluding zero
-    is the "beyond run-to-run noise" test ``repro bench --compare`` uses.
-    Identical constant samples collapse to the degenerate interval
-    ``[0, 0]``, which contains zero — a self-comparison is never flagged.
-    """
-    if not baseline or not candidate:
-        raise ValueError("bootstrap needs at least one sample on each side")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    if n_resamples < 10:
-        raise ValueError("n_resamples must be >= 10")
-    rng = rng if rng is not None else Random(0)
-    a = list(baseline)
-    b = list(candidate)
-    mean_a = sum(a) / len(a)
-    mean_b = sum(b) / len(b)
-    estimates = []
-    for _ in range(n_resamples):
-        ra = sum(a[rng.randrange(len(a))] for _ in range(len(a))) / len(a)
-        rb = sum(b[rng.randrange(len(b))] for _ in range(len(b))) / len(b)
-        estimates.append(rb - ra)
-    estimates.sort()
-    alpha = (1.0 - confidence) / 2.0
-    return ConfidenceInterval(
-        point=mean_b - mean_a,
-        low=_percentile(estimates, 100.0 * alpha),
-        high=_percentile(estimates, 100.0 * (1.0 - alpha)),
-        confidence=confidence,
     )

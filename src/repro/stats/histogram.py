@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import List, Sequence, Tuple
 
+from repro.stats.quantiles import interpolated_quantile
+
 
 class Histogram:
     """Fixed-width-bin histogram over ``[low, high)`` with overflow bins."""
@@ -66,16 +68,7 @@ class LatencyCdf:
 
     def percentile(self, p: float) -> float:
         """p in [0, 100]."""
-        if not self._samples:
-            return math.nan
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = (p / 100.0) * (len(ordered) - 1)
-        low = int(math.floor(position))
-        high = min(low + 1, len(ordered) - 1)
-        fraction = position - low
-        return ordered[low] * (1.0 - fraction) + ordered[high] * fraction
+        return interpolated_quantile(sorted(self._samples), p / 100.0)
 
     def mean(self) -> float:
         if not self._samples:

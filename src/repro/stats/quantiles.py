@@ -15,6 +15,24 @@ from bisect import insort
 from typing import List, Sequence
 
 
+def interpolated_quantile(ordered: Sequence[float], q: float) -> float:
+    """Linear-interpolated quantile (numpy 'linear' convention) of an
+    already sorted sample, ``q`` in [0, 1]; NaN when empty.
+
+    Interpolates as ``a + (b - a) * f``, which is exact when ``a == b``,
+    never leaves ``[a, b]`` and is monotone in ``q``.  ``a*(1-f) + b*f``
+    is none of those, and underflows to 0.0 between equal subnormals.
+    """
+    if not ordered:
+        return math.nan
+    position = q * (len(ordered) - 1)
+    low = int(position)
+    if low + 1 >= len(ordered):
+        return ordered[-1]
+    a = ordered[low]
+    return a + (ordered[low + 1] - a) * (position - low)
+
+
 class P2Quantile:
     """Jain & Chlamtac's P² algorithm for one quantile, O(1) space."""
 
@@ -120,17 +138,8 @@ class QuantileSketch:
         """Linear-interpolated quantile (numpy 'linear' convention)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        if not self._samples:
-            return math.nan
         self._ensure_sorted()
-        samples = self._samples
-        if len(samples) == 1:
-            return samples[0]
-        position = q * (len(samples) - 1)
-        low = int(math.floor(position))
-        high = min(low + 1, len(samples) - 1)
-        fraction = position - low
-        return samples[low] * (1.0 - fraction) + samples[high] * fraction
+        return interpolated_quantile(self._samples, q)
 
     def mean(self) -> float:
         if not self._samples:

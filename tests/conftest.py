@@ -4,9 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+from repro import engine
 from repro.cluster import Cluster, ClusterConfig
 from repro.net.topology import EC2_FIVE_DC, Topology
 from repro.sim.kernel import Simulator
+
+
+def pytest_report_header(config):
+    """Say which simulator backends this run exercises: without
+    ``compiled`` here the cross-backend parity suite is all skips."""
+    return f"repro kernel backends: {', '.join(engine.describe()['available'])}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # ``-q`` (tier-1's addopts) hides the header, so repeat it at the end.
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(pytest_report_header(config))
 
 
 @pytest.fixture(autouse=True)

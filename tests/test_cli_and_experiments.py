@@ -74,15 +74,29 @@ class TestCli:
         assert args.seed == 0
         assert args.scale == 1.0
 
+    def test_retired_bench_command_is_an_invalid_choice(self, capsys):
+        # benchmarks/e2e/run.py is the one benchmark; no shim is kept.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--quick"])
+        assert exit_info.value.code != 0
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        import repro
+
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
+
 
 class TestExperimentContract:
-    """Every registered driver imports and exposes the SPEC/main contract."""
+    """Every registered driver imports and exposes the SPEC contract."""
 
     @pytest.mark.parametrize("experiment_id", ALL_EXPERIMENTS)
     def test_driver_module_contract(self, experiment_id):
         module = importlib.import_module(f"repro.experiments.{experiment_id}")
         assert module.SPEC.id == experiment_id
-        assert callable(module.main)
 
     def test_cheapest_driver_returns_result_structure(self):
         from repro.experiments import registry
@@ -180,4 +194,11 @@ class TestOverrideNamespaces:
             main([
                 "run", "scaleout_1m", "--no-cache",
                 "--set", "default_guess_thresholdd=0.9",
+            ])
+
+    def test_removed_cluster_option_is_an_unknown_key(self):
+        with pytest.raises(SystemExit, match="bad --set override"):
+            main([
+                "run", "t1_rtt_matrix", "--no-cache",
+                "--set", "cluster.delivery_batching=true",
             ])

@@ -55,6 +55,10 @@ class TestClusterAssembly:
         with pytest.raises(ValueError):
             Cluster(ClusterConfig(engine="spanner"))
 
+    def test_removed_delivery_batching_option_rejected(self):
+        with pytest.raises(TypeError):
+            ClusterConfig(delivery_batching=True)
+
     def test_custom_topology(self):
         topology = make_synthetic_topology(3, seed=1)
         cluster = Cluster(ClusterConfig(topology=topology))

@@ -1,5 +1,5 @@
 """Tests for the experiment registry: discovery, prefix matching, seed
-derivation, single-point adaptation, and the removed entry points."""
+derivation, and single-point adaptation."""
 
 from __future__ import annotations
 
@@ -121,12 +121,3 @@ class TestSinglePointAdaptation:
         module = importlib.import_module(f"repro.experiments.{experiment_id}")
         assert module.SPEC.id == experiment_id
         assert module.SPEC is registry.get(experiment_id)
-        assert callable(module.main)
-
-    @pytest.mark.parametrize("experiment_id", ALL_EXPERIMENTS)
-    def test_removed_run_entry_point_names_replacement(self, experiment_id):
-        """The pre-registry ``module.run()`` wrappers are gone; stale call
-        sites get the registry replacement spelled out, not AttributeError."""
-        module = importlib.import_module(f"repro.experiments.{experiment_id}")
-        with pytest.raises(RuntimeError, match="registry.get"):
-            module.run(seed=0, scale=0.1)

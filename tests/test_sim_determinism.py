@@ -17,6 +17,10 @@ property asserts the two backends agree with *each other* directly.
 
 from __future__ import annotations
 
+import importlib.machinery
+import sys
+import types
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -231,6 +235,35 @@ class TestBackendsAgree:
         assert _drive_real(initial, plan, "python") == _drive_real(
             initial, plan, "compiled"
         )
+
+
+class TestStaleExtension:
+    """An extension that exists but does not import is an error, not
+    "not built": it must never degrade ``auto`` to python silently."""
+
+    def test_abi_mismatch_raises_with_rebuild_hint(self, monkeypatch):
+        import repro
+
+        fake = types.ModuleType("repro._ckernel")
+        fake.__spec__ = importlib.machinery.ModuleSpec("repro._ckernel", None)
+        fake.ABI_VERSION = -1
+        monkeypatch.setitem(sys.modules, "repro._ckernel", fake)
+        monkeypatch.setattr(repro, "_ckernel", fake, raising=False)
+        monkeypatch.delitem(sys.modules, "repro.sim.compiled", raising=False)
+        monkeypatch.setattr(engine, "_compiled_checked", False)
+        monkeypatch.setattr(engine, "_compiled_cls", None)
+        for probe in (
+            engine.compiled_available,
+            engine.describe,
+            lambda: engine.get_kernel("auto"),
+            lambda: engine.get_kernel("compiled"),
+        ):
+            with pytest.raises(engine.BackendUnavailableError) as error:
+                probe()
+            assert "ABI -1" in str(error.value)
+            assert "python setup.py build_ext --inplace" in str(error.value)
+        # An explicit python request never touches the extension.
+        assert engine.get_kernel("python").__name__ == "Simulator"
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -8,10 +8,10 @@ from random import Random
 import numpy as np
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.stats.calibration import CalibrationBins
 from repro.stats.ewma import EwmaEstimator, EwmaRate
 from repro.stats.histogram import Histogram, LatencyCdf
-from repro.stats.metrics import MetricsRegistry
 from repro.stats.quantiles import P2Quantile, QuantileSketch
 from repro.stats.reservoir import ReservoirSample
 

@@ -9,7 +9,6 @@ import pytest
 from repro.stats.bootstrap import (
     ConfidenceInterval,
     bootstrap_ci,
-    diff_of_means_ci,
     mean_ci,
     percentile_ci,
 )
@@ -72,39 +71,3 @@ class TestBootstrapCi:
             bootstrap_ci([1.0], statistic=min, confidence=1.5)
         with pytest.raises(ValueError):
             bootstrap_ci([1.0], statistic=min, n_resamples=5)
-
-
-class TestDiffOfMeansCi:
-    def test_identical_constant_samples_degenerate_at_zero(self):
-        ci = diff_of_means_ci([2.0, 2.0, 2.0], [2.0, 2.0, 2.0], rng=Random(0))
-        assert ci.point == 0.0
-        assert (ci.low, ci.high) == (0.0, 0.0)
-        assert ci.contains(0.0)
-
-    def test_clear_shift_excludes_zero(self):
-        base = [1.0, 1.1, 0.9, 1.05, 0.95]
-        slow = [10.0, 10.2, 9.8, 10.1, 9.9]
-        ci = diff_of_means_ci(base, slow, rng=Random(0))
-        assert ci.point == pytest.approx(9.0, abs=0.5)
-        assert ci.low > 0
-        assert not ci.contains(0.0)
-
-    def test_direction_is_candidate_minus_baseline(self):
-        ci = diff_of_means_ci([10.0] * 4, [1.0] * 4, rng=Random(0))
-        assert ci.point == pytest.approx(-9.0)
-
-    def test_deterministic_given_rng(self):
-        a, b = [1.0, 2.0, 3.0], [2.0, 3.0, 4.0]
-        assert diff_of_means_ci(a, b, rng=Random(5)) == diff_of_means_ci(
-            a, b, rng=Random(5)
-        )
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            diff_of_means_ci([], [1.0])
-        with pytest.raises(ValueError):
-            diff_of_means_ci([1.0], [])
-        with pytest.raises(ValueError):
-            diff_of_means_ci([1.0], [1.0], confidence=1.5)
-        with pytest.raises(ValueError):
-            diff_of_means_ci([1.0], [1.0], n_resamples=5)

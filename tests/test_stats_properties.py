@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from random import Random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.stats.calibration import CalibrationBins
@@ -26,13 +26,9 @@ samples_lists = st.lists(finite_floats, min_size=1, max_size=200)
 class TestQuantileSketch:
     @given(samples=samples_lists, q=st.floats(min_value=0.0, max_value=1.0))
     def test_quantile_within_sample_bounds(self, samples, q):
-        # One ulp of slack: the interpolation a*(1-f) + b*f of two equal
-        # samples can land just outside [a, b].
         sketch = QuantileSketch()
         sketch.extend(samples)
-        value = sketch.quantile(q)
-        slack = 1e-12 * max(1.0, abs(min(samples)), abs(max(samples)))
-        assert min(samples) - slack <= value <= max(samples) + slack
+        assert min(samples) <= sketch.quantile(q) <= max(samples)
 
     @given(samples=samples_lists)
     def test_extremes_are_min_and_max(self, samples):
@@ -60,15 +56,12 @@ class TestQuantileSketch:
         assert batched.quantile(q) == streamed.quantile(q)
 
     @given(samples=samples_lists)
+    @example(samples=[5e-324, 5e-324])  # a*(1-f) + b*f underflowed this to 0.0
     def test_quantile_monotone_in_q(self, samples):
-        # Up to one interpolation rounding error: a*(1-f) + b*f of two
-        # equal samples is not always bit-exactly the sample.
         sketch = QuantileSketch()
         sketch.extend(samples)
         values = [sketch.quantile(q / 10.0) for q in range(11)]
-        span = max(abs(v) for v in values) or 1.0
-        tolerance = 1e-12 * span
-        assert all(a <= b + tolerance for a, b in zip(values, values[1:]))
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     @given(samples=samples_lists)
     def test_mean_within_bounds(self, samples):
