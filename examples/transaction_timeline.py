@@ -5,12 +5,21 @@ transactions — an uncontended one (smooth likelihood climb, early guess)
 and one racing a competitor for the same record (likelihood crash, abort) —
 plus the compact one-line latency bars.
 
+All three guess at their first vote.  The likelihood is only evaluated while
+someone reads it, so each transaction registers an ``on_progress`` callback
+to keep the per-vote trace going after the guess; without one the timeline
+would show the first vote only.
+
 Run with:  python examples/transaction_timeline.py
 """
 
 from repro import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
 from repro.trace import render_latency_bar, render_timeline
+
+
+def keep_tracing(tx, likelihood) -> None:
+    """A progress reader: its presence keeps ``tx.likelihood_trace`` per-vote."""
 
 
 def main() -> None:
@@ -24,9 +33,20 @@ def main() -> None:
         .write("profile:alice", {"theme": "dark"})
         .with_guess_threshold(0.9)
         .with_timeout(2_000.0)
+        .on_progress(keep_tracing)
     )
-    contended_a = session.transaction().write("hot:counter", 1).with_guess_threshold(0.9)
-    contended_b = competitor.transaction().write("hot:counter", 2).with_guess_threshold(0.9)
+    contended_a = (
+        session.transaction()
+        .write("hot:counter", 1)
+        .with_guess_threshold(0.9)
+        .on_progress(keep_tracing)
+    )
+    contended_b = (
+        competitor.transaction()
+        .write("hot:counter", 2)
+        .with_guess_threshold(0.9)
+        .on_progress(keep_tracing)
+    )
 
     session.submit(smooth)
     session.submit(contended_a)

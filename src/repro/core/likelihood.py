@@ -121,27 +121,19 @@ def _norm_ppf_clamped(q: float) -> float:
     return _norm_ppf(min(max(q, 1e-9), 1.0 - 1e-9))
 
 
+def _lognormal_cdf_logs(ln_x: float, ln_median: float, sigma: float) -> float:
+    """Lognormal CDF at ``exp(ln_x)`` given ``log(median)`` (sigma > 0)."""
+    z = (ln_x - ln_median) / sigma
+    return 0.5 * (1.0 + math.erf(z / _SQRT2))
+
+
 def _lognormal_cdf(x: float, median: float, sigma: float) -> float:
     """CDF of a lognormal parameterised by its median and shape sigma."""
     if x <= 0:
         return 0.0
     if sigma <= 0:
         return 1.0 if x >= median else 0.0
-    z = (math.log(x) - math.log(median)) / sigma
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
-
-def _lognormal_cdf_ln(x: float, ln_median: float, sigma: float) -> float:
-    """:func:`_lognormal_cdf` with ``log(median)`` precomputed (sigma > 0).
-
-    The model evaluates the CDF twice per outstanding replica against the
-    same median; caching the log halves the transcendental work without
-    changing a single bit of the result.
-    """
-    if x <= 0:
-        return 0.0
-    z = (math.log(x) - ln_median) / sigma
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
+    return _lognormal_cdf_logs(math.log(x), math.log(median), sigma)
 
 
 class CommitLikelihoodModel:
@@ -186,31 +178,43 @@ class CommitLikelihoodModel:
             params = self._rtt_params_by_dc[replica_dc.index] = (median, math.log(median))
         return params
 
-    def _in_time_probability(
-        self, replica_dc: Datacenter, elapsed_ms: float, remaining_ms: Optional[float]
-    ) -> float:
-        """P(outstanding response arrives before the deadline | not yet here)."""
+    def _in_time_terms(
+        self, outstanding_dcs: Sequence[Datacenter], elapsed_ms: float,
+        remaining_ms: Optional[float],
+    ) -> List[float]:
+        """Per outstanding replica, P(response beats the deadline | not yet here)."""
         if not self.config.use_deadline or remaining_ms is None:
-            return 1.0
+            return [1.0] * len(outstanding_dcs)
         if remaining_ms <= 0:
-            return 0.0
-        median, ln_median = self._rtt_params(replica_dc)
+            return [0.0] * len(outstanding_dcs)
+        total_ms = elapsed_ms + remaining_ms
         # A round trip is two lognormal legs; approximate the sum as a
         # lognormal with sigma scaled by 1/sqrt(2) (variance addition).
         sigma = self.latency.jitter_sigma / _SQRT2
-        if sigma > 0:
-            already = _lognormal_cdf_ln(elapsed_ms, ln_median, sigma)
-        else:
-            already = _lognormal_cdf(elapsed_ms, median, sigma)
-        if already >= 1.0 - 1e-12:
-            # The response is overdue far beyond the distribution's support;
-            # treat it as lost-or-slow with a pessimistic constant.
-            return 0.0
-        if sigma > 0:
-            by_deadline = _lognormal_cdf_ln(elapsed_ms + remaining_ms, ln_median, sigma)
-        else:
-            by_deadline = _lognormal_cdf(elapsed_ms + remaining_ms, median, sigma)
-        return max(0.0, min(1.0, (by_deadline - already) / (1.0 - already)))
+        if sigma <= 0:
+            # No jitter: the response lands exactly at the median round trip.
+            return [
+                1.0 if elapsed_ms < self._rtt_params(dc)[0] <= total_ms else 0.0
+                for dc in outstanding_dcs
+            ]
+        # Every outstanding replica of a record has waited equally long.
+        ln_elapsed = math.log(elapsed_ms) if elapsed_ms > 0 else None
+        ln_total = math.log(total_ms)
+        terms = []
+        for dc in outstanding_dcs:
+            ln_median = self._rtt_params(dc)[1]
+            already = (
+                0.0 if ln_elapsed is None
+                else _lognormal_cdf_logs(ln_elapsed, ln_median, sigma)
+            )
+            if already >= 1.0 - 1e-12:
+                # The response is overdue far beyond the distribution's
+                # support; treat it as lost-or-slow, pessimistically.
+                terms.append(0.0)
+                continue
+            by_deadline = _lognormal_cdf_logs(ln_total, ln_median, sigma)
+            terms.append(max(0.0, min(1.0, (by_deadline - already) / (1.0 - already))))
+        return terms
 
     # ------------------------------------------------------------------
     def record_likelihood(
@@ -226,15 +230,7 @@ class CommitLikelihoodModel:
             return 0.0
         elapsed = max(0.0, now - record.proposed_at)
         remaining = None if deadline_at is None else deadline_at - now
-        if not self.config.use_deadline or remaining is None:
-            # Ingredient 3 disabled (or no deadline): every outstanding
-            # response counts in full, exactly as the per-DC calls return.
-            in_time = [1.0] * len(record.outstanding_dcs)
-        else:
-            in_time = [
-                self._in_time_probability(dc, elapsed, remaining)
-                for dc in record.outstanding_dcs
-            ]
+        in_time = self._in_time_terms(record.outstanding_dcs, elapsed, remaining)
         conflict_p = 1.0 - self._accept_probability(record.key)
 
         if self.config.correlated_conflicts:

@@ -31,7 +31,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.ops import AbortReason, Decision, Outcome, validate_isolation
 from repro.paxos.ballot import classic_quorum, fast_quorum
 from repro.sim.process import Waiter
-from repro.stats.calibration import CalibrationBins
 
 
 @dataclass
@@ -121,8 +120,6 @@ class PlanetSession:
         self.session_id = (
             next_session_id(dc_name) if next_session_id is not None else f"{dc_name}/s0"
         )
-        self.calibration_first_vote = CalibrationBins()
-        self.calibration_at_guess = CalibrationBins()
         self.finished: List[PlanetTransaction] = []
         # Per-key committed-version watermarks for read-your-writes.
         self._write_watermarks: Dict[str, int] = {}
@@ -357,19 +354,13 @@ class PlanetSession:
                     # Each wrong guess owes the application an apology
                     # (the paper's "guesses, apologies" contract).
                     gm.inc("planet.apologies", dc=self.dc_name)
-            if tx.predicted_at_guess is not None:
-                self.calibration_at_guess.update(
-                    min(tx.predicted_at_guess, 1.0), tx.committed
-                )
-        if tx.predicted_at_first_vote is not None:
+        if tx.predicted_at_first_vote is not None and gm.enabled:
+            # Decile buckets so the calibration curve can be read off a
+            # metrics snapshot without replaying the run.
             predicted = min(tx.predicted_at_first_vote, 1.0)
-            self.calibration_first_vote.update(predicted, tx.committed)
-            if gm.enabled:
-                # Decile buckets so the calibration curve can be read off a
-                # metrics snapshot without replaying the run.
-                bucket = min(int(predicted * 10), 9)
-                gm.inc(
-                    "planet.likelihood_bucket",
-                    bucket=f"{bucket / 10:.1f}",
-                    committed=str(tx.committed).lower(),
-                )
+            bucket = min(int(predicted * 10), 9)
+            gm.inc(
+                "planet.likelihood_bucket",
+                bucket=f"{bucket / 10:.1f}",
+                committed=str(tx.committed).lower(),
+            )

@@ -1,13 +1,15 @@
 """Speculative commit management: the bridge between engine and application.
 
 One :class:`SpeculationManager` rides along with each submitted transaction
-as its :class:`~repro.ops.TxEvents` hook object.  On every replica vote it
-re-evaluates the commit likelihood, feeds the progress callback, and fires
-the *guess* — the speculative commit — the first time the likelihood crosses
-the application's threshold.  At decision time it reconciles the guess
-(commit: the guess was right; abort: fire the compensation callback),
-updates conflict statistics, and reports the finished transaction back to
-the session.
+as its :class:`~repro.ops.TxEvents` hook object.  It evaluates the commit
+likelihood at the transaction's first replica vote (the calibration
+snapshot) and then once per vote only while someone reads it — a guess
+threshold is armed and has not fired, or a progress callback is registered.
+Each evaluation feeds the progress callback and fires the *guess* — the
+speculative commit — the first time the likelihood crosses the application's
+threshold.  At decision time it reconciles the guess (commit: the guess was
+right; abort: fire the compensation callback), updates conflict statistics,
+and reports the finished transaction back to the session.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class SpeculationManager(TxEvents):
         # Per-key (accepts, rejects) counts observed through on_vote, kept so
         # conflict statistics survive the coordinator forgetting the tx.
         self.vote_counts: Dict[str, List[int]] = {}
-        # Vote-state history per key, consumed by the empirical model.
+        # Vote-state history per key, kept only when the session has an
+        # empirical model to consume it.
         self.state_history: Dict[str, List[Tuple[int, int]]] = {}
         self._stage_span = None  # open obs span for the current stage
 
@@ -70,39 +73,51 @@ class SpeculationManager(TxEvents):
 
     def on_vote(self, request: TxRequest, key: str, accepted: bool, now: float) -> None:
         counts = self.vote_counts.setdefault(key, [0, 0])
-        history = self.state_history.setdefault(key, [])
-        history.append((counts[0], counts[1]))
+        if self.session.empirical_model is not None:
+            self.state_history.setdefault(key, []).append((counts[0], counts[1]))
         counts[0 if accepted else 1] += 1
 
-        likelihood = self.session.evaluate_likelihood(self.tx, now)
+        # The likelihood is a pure function of coordinator and conflict
+        # state, so it is computed only for someone who reads it: the
+        # first-vote calibration snapshot, a guess still waiting to fire, or
+        # a progress callback (looked up per vote: it may be attached late).
+        tx = self.tx
+        if not (
+            tx.predicted_at_first_vote is None
+            or (tx.guess_threshold is not None and tx.stage is TxStage.PENDING)
+            or tx.callbacks.on_progress is not None
+        ):
+            return
+        likelihood = self.session.evaluate_likelihood(tx, now)
         if likelihood is None:
             return
-        self.tx.likelihood_trace.append((now, likelihood))
-        if self.tx.predicted_at_first_vote is None:
-            self.tx.predicted_at_first_vote = likelihood
-        self.tx.callbacks.fire_progress(self.tx, likelihood)
+        tx.likelihood_trace.append((now, likelihood))
+        if tx.predicted_at_first_vote is None:
+            tx.predicted_at_first_vote = likelihood
+        tx.callbacks.fire_progress(tx, likelihood)
 
-        threshold = self.tx.guess_threshold
+        # Read after the progress callback, which may abort or re-arm the tx.
+        threshold = tx.guess_threshold
         if (
             threshold is not None
-            and self.tx.stage is TxStage.PENDING
+            and tx.stage is TxStage.PENDING
             and likelihood >= threshold
         ):
-            self.tx.transition(TxStage.GUESSED, now)
+            tx.transition(TxStage.GUESSED, now)
             self.note_stage(TxStage.GUESSED, now)
-            self.tx.predicted_at_guess = likelihood
+            tx.predicted_at_guess = likelihood
             tracer = self.session.sim.tracer
             if tracer.enabled:
                 tracer.emit(
-                    now, "stage", "guess", txid=self.tx.txid, likelihood=likelihood
+                    now, "stage", "guess", txid=tx.txid, likelihood=likelihood
                 )
                 tracer.emit(
                     now, "history", "guess",
-                    txid=self.tx.txid,
+                    txid=tx.txid,
                     session=getattr(self.session, "session_id", ""),
                     likelihood=likelihood,
                 )
-            self.tx.callbacks.fire_guess(self.tx, likelihood)
+            tx.callbacks.fire_guess(tx, likelihood)
 
     def on_decided(self, request: TxRequest, decision: Decision) -> None:
         tx = self.tx

@@ -120,6 +120,12 @@ class MdccCoordinator(NetworkNode):
         self.config = config if config is not None else MdccConfig()
         self.replica_ids = list(replica_ids)
         self.local_replica_id = self._pick_local_replica(network)
+        # (replica id, datacenter) in sorted-id order: the order ``progress``
+        # reports outstanding replicas in.  Membership is fixed for the run.
+        self._replica_dcs = tuple(
+            (replica_id, network.node(replica_id).datacenter)
+            for replica_id in sorted(self.replica_ids)
+        )
         self.ballots = BallotGenerator(
             node_id, tracer=sim.tracer, clock=self._clock, metrics=sim.metrics
         )
@@ -186,13 +192,12 @@ class MdccCoordinator(NetworkNode):
         tx = self._inflight.get(txid)
         if tx is None or tx.phase != "accept":
             return None
-        network = self.network
-        assert network is not None
+        replica_dcs = self._replica_dcs
         records = []
         for key, tracker in tx.trackers.items():
-            outstanding_ids = tracker.outstanding_ids(set(self.replica_ids))
+            has_voted = tracker.has_voted
             outstanding_dcs = tuple(
-                network.node(replica_id).datacenter for replica_id in sorted(outstanding_ids)
+                dc for replica_id, dc in replica_dcs if not has_voted(replica_id)
             )
             records.append(
                 RecordProgress(
@@ -399,7 +404,7 @@ class MdccCoordinator(NetworkNode):
             self._decide(tx, Outcome.ABORTED, AbortReason.CONFLICT)
         elif tracker.doomed:
             self._decide(tx, Outcome.ABORTED, AbortReason.CONFLICT)
-        elif all(t.chosen for t in tx.trackers.values()):
+        elif tracker.chosen and all(t.chosen for t in tx.trackers.values()):
             self._decide(tx, Outcome.COMMITTED, AbortReason.NONE)
 
     # ------------------------------------------------------------------

@@ -27,8 +27,11 @@ class QuorumTracker:
         self._rejected_by: Set[str] = set()
 
     # ------------------------------------------------------------------
+    def has_voted(self, acceptor_id: str) -> bool:
+        return acceptor_id in self._accepted_by or acceptor_id in self._rejected_by
+
     def add_vote(self, acceptor_id: str, accepted: bool) -> None:
-        if acceptor_id in self._accepted_by or acceptor_id in self._rejected_by:
+        if self.has_voted(acceptor_id):
             return
         if accepted:
             self._accepted_by.add(acceptor_id)
