@@ -89,7 +89,7 @@ class TwoPcReplica:
             # The transaction was aborted while we waited for the lock.
             self.locks.release(prepared.key, prepared.txid)
             return
-        delay = self.node.wal.append("prepare", prepared.txid, prepared.op, self.node.sim.now)
+        delay = self.node.wal.append("prepare", prepared.txid, self.node.sim.now)
         self.node.sim.schedule(delay, self._replicate_prepare, prepared)
 
     def _replicate_prepare(self, prepared: _PreparedWrite) -> None:
@@ -156,7 +156,7 @@ class TwoPcReplica:
     # Backup role
     # ------------------------------------------------------------------
     def _on_backup_prepare(self, msg: protocol.BackupPrepare) -> None:
-        delay = self.node.wal.append("backup-prepare", msg.txid, msg.op, self.node.sim.now)
+        delay = self.node.wal.append("backup-prepare", msg.txid, self.node.sim.now)
         self.node.reply_after_sync(
             delay, msg.sender, protocol.BackupAck(txid=msg.txid, key=msg.key)
         )

@@ -56,7 +56,6 @@ class TwoPcCoordinator(NetworkNode):
         self.replica_ids = list(replica_ids)
         self._inflight: Dict[str, _InflightTx] = {}
         self._pending_reads: Dict[str, Set[str]] = {}
-        self.decisions: List[Decision] = []
         network.register(self)
 
     def primary_id(self, key: str) -> str:
@@ -142,6 +141,8 @@ class TwoPcCoordinator(NetworkNode):
             return
         tx.votes[msg.key] = msg.prepared
         tx.events.on_vote(tx.request, msg.key, msg.prepared, self.sim.now)
+        if tx.decided:
+            return  # the hook aborted the transaction (``abort``)
         if not msg.prepared:
             self._decide(tx, Outcome.ABORTED, AbortReason.LOCK_TIMEOUT)
         elif all(vote for vote in tx.votes.values()):
@@ -172,7 +173,6 @@ class TwoPcCoordinator(NetworkNode):
         decision = Decision(
             txid=tx.request.txid, outcome=outcome, reason=reason, decided_at=self.sim.now
         )
-        self.decisions.append(decision)
         tx.events.on_decided(tx.request, decision)
 
     # ------------------------------------------------------------------

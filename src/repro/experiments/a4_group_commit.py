@@ -67,7 +67,7 @@ def _run_point(params: Dict[str, Any], ctx: PointContext) -> Dict[str, Any]:
     )
     result = run_experiment(config)
     syncs = sum(node.wal.sync_count for node in result.cluster.storage_nodes.values())
-    appends = sum(len(node.wal) for node in result.cluster.storage_nodes.values())
+    appends = sum(node.wal.appends for node in result.cluster.storage_nodes.values())
     return {
         "window_ms": window_ms,
         "commit_p50": result.commit_latency_cdf().percentile(50),

@@ -130,7 +130,6 @@ class MdccCoordinator(NetworkNode):
             node_id, tracer=sim.tracer, clock=self._clock, metrics=sim.metrics
         )
         self._inflight: Dict[str, _InflightTx] = {}
-        self.decisions: List[Decision] = []
         self.crashed = False
         network.register(self)
 
@@ -389,6 +388,8 @@ class MdccCoordinator(NetworkNode):
                 accepts=tracker.accepts, rejects=tracker.rejects,
             )
         tx.events.on_vote(tx.request, msg.key, msg.accepted, self.sim.now)
+        if tx.decided:
+            return  # the hook aborted the transaction (``abort``)
         if self.config.unsafe_skip_quorum_check:
             # Seeded fault: treat one accept per record as "chosen".  The
             # checker's quorum-backing invariant must flag every commit
@@ -466,7 +467,6 @@ class MdccCoordinator(NetworkNode):
         decision = Decision(
             txid=tx.request.txid, outcome=outcome, reason=reason, decided_at=self.sim.now
         )
-        self.decisions.append(decision)
         tx.events.on_decided(tx.request, decision)
 
     # ------------------------------------------------------------------

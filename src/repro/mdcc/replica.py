@@ -150,7 +150,7 @@ class MdccReplica:
         )
         if result.accepted:
             record.pending[msg.txid] = msg.option
-            delay = self.node.wal.append("option", msg.txid, msg.option, self.node.sim.now)
+            delay = self.node.wal.append("option", msg.txid, self.node.sim.now)
             self.node.reply_after_sync(delay, msg.sender, vote)
             self._arm_orphan_timer(msg.txid, msg.key)
         else:
@@ -163,7 +163,7 @@ class MdccReplica:
         self._disarm_orphan_timer(msg.txid)
         self._note_activity()
         delay = self.node.wal.append(
-            "commit" if msg.commit else "abort", msg.txid, None, self.node.sim.now
+            "commit" if msg.commit else "abort", msg.txid, self.node.sim.now
         )
         # Applying after the WAL force keeps the version chain consistent
         # with what a recovery would replay.

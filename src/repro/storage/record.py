@@ -8,7 +8,7 @@ Readers always see committed state (read-committed / atomic visibility).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 
@@ -38,12 +38,12 @@ class VersionedRecord:
 
     ``pending`` holds commit-protocol state keyed by transaction id (MDCC
     options that were accepted but whose transaction has not yet decided).
-    ``lock`` is used by the 2PC baseline.  Keeping both here rather than in
-    side tables keeps replica handlers O(1) and mirrors how a real engine
-    attaches latches/intents to records.
+    Keeping it here rather than in a side table keeps replica handlers O(1)
+    and mirrors how a real engine attaches intents to records.  The 2PC
+    baseline's record locks live in :class:`repro.baselines.locks.LockTable`.
     """
 
-    __slots__ = ("key", "versions", "pending", "lock_holder", "lock_queue", "max_versions")
+    __slots__ = ("key", "versions", "pending", "max_versions")
 
     def __init__(self, key: str, initial_value: Any = None, max_versions: int = 8) -> None:
         self.key = key
@@ -51,8 +51,6 @@ class VersionedRecord:
             RecordVersion(version=0, value=initial_value, txid="__init__", committed_at=0.0)
         ]
         self.pending: Dict[str, Any] = {}
-        self.lock_holder: Optional[str] = None
-        self.lock_queue: List[Any] = []
         self.max_versions = max_versions
 
     # ------------------------------------------------------------------

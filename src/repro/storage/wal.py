@@ -1,9 +1,13 @@
-"""Write-ahead log with a simulated sync delay and optional group commit.
+"""Write-ahead log as a durability clock, with optional group commit.
 
 Replica handlers must not acknowledge protocol writes (accepted options,
-prepared 2PC records) before they are durable.  Durability is modelled as a
-``sync_delay_ms`` per forced flush; entries are retained so tests can audit
-exactly what was forced when.
+prepared 2PC records) before they are durable.  Durability is modelled as
+latency only: each forced flush costs ``sync_delay_ms``, ``append`` returns
+the delay until the append is durable, and the caller holds its
+acknowledgement for that long.  Nothing is retained per append — crashes are
+fail-stop and nothing replays the log — so the log is two counters
+(``appends``, ``sync_count``) plus the open batch's flush instant.  The
+``wal`` trace span of each append carries its ordinal as ``lsn``.
 
 **Group commit** (``batch_window_ms > 0``): instead of forcing each append
 individually, the log opens a batch on the first append and flushes it
@@ -15,25 +19,14 @@ the sync-count reduction against the added per-write latency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Optional
 
 from repro.obs.events import NULL_TRACER, Tracer
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 
-@dataclass(frozen=True)
-class WalEntry:
-    lsn: int
-    kind: str
-    txid: str
-    payload: Any
-    appended_at: float
-    durable_at: float
-
-
 class WriteAheadLog:
-    """An append-only log; ``append`` returns the delay until the entry is
+    """An append-only log; ``append`` returns the delay until the append is
     durable, which the caller adds before sending its acknowledgement."""
 
     def __init__(
@@ -53,12 +46,14 @@ class WriteAheadLog:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.label = label
-        self.entries: List[WalEntry] = []
+        self.appends = 0
         self.sync_count = 0
         self._batch_flush_at: float = -1.0  # durable instant of the open batch
 
-    def append(self, kind: str, txid: str, payload: Any, now: float) -> float:
-        """Append an entry and return the time until it is durable (ms)."""
+    def append(self, kind: str, txid: str, now: float) -> float:
+        """Log one append and return the time until it is durable (ms)."""
+        lsn = self.appends
+        self.appends = lsn + 1
         metrics = self.metrics
         synced = False
         if self.batch_window_ms == 0:
@@ -76,15 +71,6 @@ class WriteAheadLog:
             metrics.inc("wal.appends", node=self.label)
             if synced:
                 metrics.inc("wal.syncs", node=self.label)
-        entry = WalEntry(
-            lsn=len(self.entries),
-            kind=kind,
-            txid=txid,
-            payload=payload,
-            appended_at=now,
-            durable_at=durable_at,
-        )
-        self.entries.append(entry)
         tracer = self.tracer
         if tracer.enabled:
             # One span per append covering its durability window; batched
@@ -93,12 +79,6 @@ class WriteAheadLog:
             tracer.span(
                 now, durable_at, "wal",
                 "sync" if self.batch_window_ms == 0 else "group_commit",
-                track=f"wal:{self.label}", kind=kind, txid=txid, lsn=entry.lsn,
+                track=f"wal:{self.label}", kind=kind, txid=txid, lsn=lsn,
             )
         return durable_at - now
-
-    def entries_for(self, txid: str) -> List[WalEntry]:
-        return [entry for entry in self.entries if entry.txid == txid]
-
-    def __len__(self) -> int:
-        return len(self.entries)

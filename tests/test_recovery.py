@@ -18,14 +18,22 @@ def make_cluster(option_ttl_ms=500.0, seed=29):
 class TestCoordinatorCrash:
     def test_crashed_coordinator_never_decides(self):
         cluster = make_cluster(option_ttl_ms=None)
-        events = TxEvents()
+
+        class Recorder(TxEvents):
+            def __init__(self):
+                self.decisions = []
+
+            def on_decided(self, request, decision):
+                self.decisions.append(decision)
+
+        events = Recorder()
         cluster.coordinator("us_west").execute(
             TxRequest(txid="t1", writes=[WriteOp("x", 1, read_version=0)]), events
         )
         cluster.sim.run(until=50.0)  # votes in flight
         cluster.crash_coordinator("us_west")
         cluster.run()
-        assert cluster.coordinator("us_west").decisions == []
+        assert events.decisions == []
         # Without recovery the option is orphaned at replicas that accepted it.
         orphaned = sum(
             1

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro import obs
 from repro.net.messages import Message
 from repro.net.network import Network
 from repro.net.topology import EC2_FIVE_DC
@@ -83,25 +84,26 @@ class TestKVStore:
 class TestWriteAheadLog:
     def test_append_returns_sync_delay(self):
         wal = WriteAheadLog(sync_delay_ms=0.7)
-        assert wal.append("prepare", "tx1", {"k": 1}, now=5.0) == pytest.approx(0.7)
+        assert wal.append("prepare", "tx1", now=5.0) == pytest.approx(0.7)
         assert wal.sync_count == 1
 
     def test_group_commit_shares_one_sync(self):
         wal = WriteAheadLog(sync_delay_ms=1.0, batch_window_ms=5.0)
-        first = wal.append("a", "t1", None, now=0.0)
-        second = wal.append("b", "t2", None, now=2.0)
-        third = wal.append("c", "t3", None, now=4.0)
+        first = wal.append("a", "t1", now=0.0)
+        second = wal.append("b", "t2", now=2.0)
+        third = wal.append("c", "t3", now=4.0)
         # All three become durable at the same flush instant: 0 + 5 + 1 = 6.
         assert first == pytest.approx(6.0)
         assert second == pytest.approx(4.0)
         assert third == pytest.approx(2.0)
         assert wal.sync_count == 1
-        assert {entry.durable_at for entry in wal.entries} == {6.0}
+        assert {0.0 + first, 2.0 + second, 4.0 + third} == {6.0}
+        assert wal.appends == 3
 
     def test_group_commit_opens_new_batch_after_flush(self):
         wal = WriteAheadLog(sync_delay_ms=1.0, batch_window_ms=5.0)
-        wal.append("a", "t1", None, now=0.0)       # batch 1 flushes at 6
-        delay = wal.append("b", "t2", None, now=7.0)  # after flush: batch 2
+        wal.append("a", "t1", now=0.0)       # batch 1 flushes at 6
+        delay = wal.append("b", "t2", now=7.0)  # after flush: batch 2
         assert delay == pytest.approx(6.0)
         assert wal.sync_count == 2
 
@@ -109,8 +111,8 @@ class TestWriteAheadLog:
         plain = WriteAheadLog(sync_delay_ms=0.5, batch_window_ms=0.0)
         batched = WriteAheadLog(sync_delay_ms=0.5, batch_window_ms=5.0)
         for i in range(100):
-            plain.append("w", f"t{i}", None, now=i * 0.5)
-            batched.append("w", f"t{i}", None, now=i * 0.5)
+            plain.append("w", f"t{i}", now=i * 0.5)
+            batched.append("w", f"t{i}", now=i * 0.5)
         assert plain.sync_count == 100
         assert batched.sync_count < 15
 
@@ -119,19 +121,15 @@ class TestWriteAheadLog:
             WriteAheadLog(batch_window_ms=-1.0)
 
     def test_entries_recorded_with_lsn(self):
-        wal = WriteAheadLog()
-        wal.append("a", "tx1", None, 1.0)
-        wal.append("b", "tx2", None, 2.0)
-        assert [entry.lsn for entry in wal.entries] == [0, 1]
-        assert wal.entries[1].kind == "b"
-        assert len(wal) == 2
-
-    def test_entries_for_txid(self):
-        wal = WriteAheadLog()
-        wal.append("a", "tx1", None, 1.0)
-        wal.append("b", "tx2", None, 2.0)
-        wal.append("c", "tx1", None, 3.0)
-        assert [entry.kind for entry in wal.entries_for("tx1")] == ["a", "c"]
+        recorder = obs.FlightRecorder()
+        with obs.session(recorder):
+            wal = WriteAheadLog(tracer=obs.new_tracer())
+            wal.append("a", "tx1", 1.0)
+            wal.append("b", "tx2", 2.0)
+        spans = [span for span in recorder.spans() if span.category == "wal"]
+        assert [span.fields["lsn"] for span in spans] == [0, 1]
+        assert spans[1].fields["kind"] == "b"
+        assert wal.appends == 2
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
