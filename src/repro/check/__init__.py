@@ -10,9 +10,9 @@ Three layers, used together or separately:
   serializability of committed transactions, read-your-writes and
   monotonic-reads session guarantees, MDCC option-acceptance invariants,
   and PLANET guess/apology soundness;
-* :mod:`~repro.check.campaign` — seed-derived randomized fault campaigns
-  (``python -m repro check campaign``) executed through the parallel sweep
-  executor, with a triage report and replayable failing plans.
+* :mod:`~repro.check.campaign` — one seed-derived fault schedule run and
+  checked, plus the replayable plan files; the ``check_campaign``
+  experiment (``python -m repro check campaign``) fans schedules out.
 
 See ``docs/checking.md`` for the history schema and the invariant
 catalogue.

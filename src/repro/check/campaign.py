@@ -1,37 +1,23 @@
-"""Fault campaigns: N seeded fault schedules, each checked for consistency.
+"""Fault schedules: one seeded fault plan, run and checked for consistency.
 
-A campaign generalises the chaos test's single :func:`~repro.faults
-.chaos_plan` run into a registered experiment (``check_campaign``) the
-parallel sweep executor can fan out: the grid has one point per schedule,
-each point derives its own seed, draws a :func:`~repro.faults
-.campaign_plan` (spikes, partitions, loss windows, at most one crash),
-runs a mixed workload under history capture, and runs the offline checker
-on the result.  The reduce step folds the per-schedule rows into a triage
-report: pass/fail, the first failing schedule, and a **replayable plan** —
-a JSON document ``python -m repro check replay`` re-executes bit-for-bit
-(the history digest is compared across two runs to prove it).
-
-Campaign knobs travel through the sweep's override channel under a
-``check.`` prefix (they are campaign parameters, not PlanetConfig fields):
-``check.duration_ms``, ``check.intensity``, ``check.broken`` (enable the
-seeded quorum-check mutation — the checker must catch it).
+:func:`run_schedule` draws a :func:`~repro.faults.campaign_plan` (spikes,
+partitions, loss windows, at most one crash) from a seed, runs a mixed
+workload under history capture, and runs the offline checker on the
+result.  The ``check_campaign`` experiment
+(:mod:`repro.experiments.check_campaign`) fans many schedules out through
+the sweep executor and reduces them to a triage report whose failing
+schedule is a **replayable plan**: a JSON document (:func:`plan_payload`,
+:func:`write_plan`, :func:`load_plan`) that :func:`replay` — ``python -m
+repro check replay`` — re-executes bit-for-bit (the history digest is
+compared across two runs to prove it).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict
 
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
-from repro.harness.report import Table
-
-EXPERIMENT_ID = "check_campaign"
 PLAN_FORMAT = "repro.check/plan-v1"
-
-#: Schedules at scale 1.0 (``--scale`` multiplies this).
-BASE_SCHEDULES = 50
 
 DEFAULT_DURATION_MS = 6_000.0
 DEFAULT_INTENSITY = 1.0
@@ -136,120 +122,6 @@ def run_schedule(
 
 
 # ----------------------------------------------------------------------
-# The registered experiment.
-# ----------------------------------------------------------------------
-def _campaign_params(ctx: PointContext) -> Dict[str, Any]:
-    overrides = ctx.overrides
-    return {
-        "duration_ms": float(overrides.get("check.duration_ms", DEFAULT_DURATION_MS)),
-        "intensity": float(overrides.get("check.intensity", DEFAULT_INTENSITY)),
-        "broken": str(overrides.get("check.broken", "")).lower()
-        in ("1", "true", "yes"),
-    }
-
-
-def _grid(scale: float) -> List[GridPoint]:
-    n = max(1, int(round(BASE_SCHEDULES * scale)))
-    return [
-        GridPoint(key=f"s{index:04d}", params={"index": index})
-        for index in range(n)
-    ]
-
-
-def _run_point(params: Dict[str, Any], ctx: PointContext) -> Dict[str, Any]:
-    knobs = _campaign_params(ctx)
-    row = run_schedule(
-        ctx.seed,
-        duration_ms=knobs["duration_ms"],
-        intensity=knobs["intensity"],
-        broken=knobs["broken"],
-    )
-    row["index"] = int(params["index"])
-    return row
-
-
-def _reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentResult:
-    knobs = _campaign_params(ctx)
-    failing = [row for row in rows if row["violations"]]
-    total_violations = sum(len(row["violations"]) for row in rows)
-
-    table = Table(
-        f"Campaign triage ({len(rows)} schedules, "
-        f"{knobs['duration_ms']:.0f}ms @ intensity {knobs['intensity']:g})",
-        ["schedule", "seed", "faults", "ops", "violations", "first violation"],
-    )
-    for row in failing[:20]:
-        first = row["violations"][0]
-        table.add_row(
-            f"s{row['index']:04d}",
-            row["seed"],
-            row["plan_text"],
-            row["ops"],
-            len(row["violations"]),
-            f"{first['invariant']}: {first['detail']}",
-        )
-    if not failing:
-        table.add_row(
-            "(all)", "-", "-", sum(row["ops"] for row in rows), 0, "none"
-        )
-
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="repro.check randomized fault campaign",
-        tables=[table],
-    )
-    result.checks.append(
-        ShapeCheck(
-            name="no_violations",
-            passed=not failing,
-            detail=(
-                f"{len(failing)}/{len(rows)} schedules violated invariants "
-                f"({total_violations} total violations)"
-                if failing
-                else f"all {len(rows)} schedules clean"
-            ),
-        )
-    )
-    data: Dict[str, Any] = {
-        "schedules": len(rows),
-        "failing_schedules": len(failing),
-        "total_violations": total_violations,
-        "duration_ms": knobs["duration_ms"],
-        "intensity": knobs["intensity"],
-        "broken": knobs["broken"],
-    }
-    if failing:
-        # Minimal failing schedule (lowest grid index) with its replayable
-        # plan — the triage handle: save it, then `repro check replay`.
-        minimal = min(failing, key=lambda row: row["index"])
-        data["min_failing_index"] = minimal["index"]
-        data["min_failing_seed"] = minimal["seed"]
-        data["replay_plan"] = plan_payload(
-            seed=minimal["seed"],
-            duration_ms=knobs["duration_ms"],
-            intensity=knobs["intensity"],
-            broken=knobs["broken"],
-            plan_dict=minimal["plan"],
-        )
-        data["violations"] = minimal["violations"]
-    result.data = data
-    return result
-
-
-registry.register(
-    ExperimentSpec(
-        id=EXPERIMENT_ID,
-        figure="CHK",
-        title="repro.check: randomized fault campaign + consistency checker",
-        module="repro.check.campaign",
-        grid=_grid,
-        run_point=_run_point,
-        reduce=_reduce,
-    )
-)
-
-
-# ----------------------------------------------------------------------
 # Replayable plan files.
 # ----------------------------------------------------------------------
 def plan_payload(
@@ -277,13 +149,55 @@ def write_plan(path: str, payload: Dict[str, Any]) -> None:
 
 def load_plan(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != PLAN_FORMAT:
+        return check_plan(json.load(handle), path)
+
+
+def check_plan(payload: Any, source: str) -> Dict[str, Any]:
+    """``payload`` if it is a replayable plan-v1 document.
+
+    Otherwise a :class:`ValueError` prefixed with ``source`` says what is
+    missing or malformed, so a bad file never replays as something else.
+    """
+    from repro.faults import FaultPlan
+
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != PLAN_FORMAT:
         raise ValueError(
-            f"{path}: not a campaign plan file "
-            f"(format {payload.get('format')!r}, expected {PLAN_FORMAT!r})"
+            f"{source}: not a campaign plan file "
+            f"(format {found!r}, expected {PLAN_FORMAT!r})"
         )
+    missing = [
+        key for key in ("seed", "duration_ms", "intensity", "plan") if key not in payload
+    ]
+    if missing:
+        raise ValueError(f"{source}: plan file has no {', '.join(missing)}")
+    for key in ("seed", "duration_ms", "intensity"):
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{source}: {key} must be a number, got {value!r}")
+    if not isinstance(payload.get("broken", False), bool):
+        raise ValueError(f"{source}: broken must be true or false")
+    try:
+        FaultPlan.from_dict(payload["plan"])
+    except ValueError as exc:
+        raise ValueError(f"{source}: plan: {exc}") from None
     return payload
+
+
+def run_plan(payload: Dict[str, Any], with_history: bool = False) -> Dict[str, Any]:
+    """Execute a stored plan once (from a fresh txid counter); its row."""
+    from repro.faults import FaultPlan
+    from repro.ops import reset_txid_counter
+
+    reset_txid_counter()
+    return run_schedule(
+        seed=int(payload["seed"]),
+        duration_ms=float(payload["duration_ms"]),
+        intensity=float(payload["intensity"]),
+        broken=bool(payload.get("broken", False)),
+        plan=FaultPlan.from_dict(payload["plan"]),
+        with_history=with_history,
+    )
 
 
 def replay(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -292,21 +206,8 @@ def replay(payload: Dict[str, Any]) -> Dict[str, Any]:
     Returns the first run's row plus ``digest_stable`` — whether two
     back-to-back executions produced byte-identical history digests.
     """
-    from repro.faults import FaultPlan
-    from repro.ops import reset_txid_counter
-
-    def once() -> Dict[str, Any]:
-        reset_txid_counter()
-        return run_schedule(
-            seed=int(payload["seed"]),
-            duration_ms=float(payload["duration_ms"]),
-            intensity=float(payload["intensity"]),
-            broken=bool(payload.get("broken", False)),
-            plan=FaultPlan.from_dict(payload["plan"]),
-        )
-
-    first = once()
-    second = once()
+    first = run_plan(payload)
+    second = run_plan(payload)
     first["digest_stable"] = first["digest"] == second["digest"]
     first["second_digest"] = second["digest"]
     return first

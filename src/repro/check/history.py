@@ -179,7 +179,7 @@ class HistoryRecorder(Sink):
     """Obs sink turning ``history`` events into a :class:`History`.
 
     Attach to one simulator with :meth:`attach` (or pass it to
-    ``obs.capture`` / ``tracer.add_sink`` yourself); events of other
+    ``obs.session`` / ``tracer.add_sink`` yourself); events of other
     categories are ignored, so the recorder composes with wider captures.
     """
 

@@ -43,14 +43,9 @@ from typing import Dict, List, Optional
 
 from repro import obs
 from repro.experiments import registry
-from repro.experiments.registry import ExperimentSpec
+from repro.harness.spec import ExperimentSpec
 
 DEFAULT_CACHE_DIR = ".repro_cache"
-
-
-def resolve_experiment_id(experiment_id: str) -> str:
-    """Exact id, or a unique prefix of one (``f6`` → ``f6_commit_latency``)."""
-    return _resolve_spec(experiment_id).id
 
 
 def _resolve_spec(experiment_id: str) -> ExperimentSpec:
@@ -61,12 +56,8 @@ def _resolve_spec(experiment_id: str) -> ExperimentSpec:
 
 
 def _parse_overrides(pairs: Optional[List[str]]) -> Dict[str, str]:
+    from repro.config import ConfigOverrideError, parse_override_args, strip_reserved
     from repro.core.session import PlanetConfig
-    from repro.harness.overrides import (
-        ConfigOverrideError,
-        parse_override_args,
-        strip_reserved,
-    )
 
     try:
         overrides = parse_override_args(pairs or [])
@@ -175,6 +166,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_check_campaign(args: argparse.Namespace) -> int:
     from repro.check import campaign
+    from repro.experiments import check_campaign
     from repro.harness.parallel import SweepOptions, run_sweep
 
     # Campaign knobs travel on the override channel under the ``check.``
@@ -190,9 +182,9 @@ def cmd_check_campaign(args: argparse.Namespace) -> int:
     if args.schedules is not None:
         if args.schedules < 1:
             raise SystemExit("--schedules must be >= 1")
-        scale = args.schedules / campaign.BASE_SCHEDULES
+        scale = args.schedules / check_campaign.BASE_SCHEDULES
     sweep = run_sweep(
-        registry.get(campaign.EXPERIMENT_ID),
+        check_campaign.SPEC,
         seed=args.seed,
         scale=scale,
         overrides=overrides,
@@ -249,8 +241,6 @@ def cmd_check_predict(args: argparse.Namespace) -> int:
     from repro.check import campaign
     from repro.check.history import HISTORY_FORMAT, History
     from repro.check.predict import predict_report
-    from repro.faults import FaultPlan
-    from repro.ops import reset_txid_counter
 
     try:
         with open(args.path, "r", encoding="utf-8") as handle:
@@ -258,7 +248,7 @@ def cmd_check_predict(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         raise SystemExit(f"check predict: {exc}") from exc
 
-    fmt = payload.get("format")
+    fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt == HISTORY_FORMAT:
         # A stored history: predict it twice to prove the analysis itself
         # is deterministic (same witnesses, same order).
@@ -271,16 +261,13 @@ def cmd_check_predict(args: argparse.Namespace) -> int:
     elif fmt == campaign.PLAN_FORMAT:
         # A replayable fault plan: re-execute it twice end to end; both the
         # history digest and the prediction must be byte-stable.
+        try:
+            campaign.check_plan(payload, args.path)
+        except ValueError as exc:
+            raise SystemExit(f"check predict: {exc}") from exc
+
         def once():
-            reset_txid_counter()
-            row = campaign.run_schedule(
-                seed=int(payload["seed"]),
-                duration_ms=float(payload["duration_ms"]),
-                intensity=float(payload["intensity"]),
-                broken=bool(payload.get("broken", False)),
-                plan=FaultPlan.from_dict(payload["plan"]),
-                with_history=True,
-            )
+            row = campaign.run_plan(payload, with_history=True)
             history = History.from_dict(row["history"])
             return row["digest"], predict_report(history), len(history)
 

@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.baselines.replica import TwoPcReplica
 from repro.baselines.twopc import TwoPcConfig, TwoPcCoordinator
+from repro.config import Config
 from repro.engine import build_simulator
 from repro.mdcc.coordinator import MdccConfig, MdccCoordinator
 from repro.mdcc.replica import MdccReplica
@@ -26,7 +27,7 @@ from repro.storage.node import StorageNode
 
 
 @dataclass
-class ClusterConfig:
+class ClusterConfig(Config):
     topology: Topology = field(default_factory=lambda: EC2_FIVE_DC)
     seed: int = 0
     engine: str = "mdcc"
@@ -55,23 +56,6 @@ class ClusterConfig:
     # Replica-side anti-entropy: periodic digest exchange repairing decision
     # broadcasts lost to partitions/loss (None = disabled).
     anti_entropy_interval_ms: Optional[float] = None
-
-    # -- uniform config API (see repro.harness.overrides) ---------------
-    def to_dict(self):
-        from repro.harness.overrides import config_to_dict
-
-        return config_to_dict(self)
-
-    @classmethod
-    def from_overrides(cls, overrides, base=None):
-        from repro.harness.overrides import config_from_overrides
-
-        return config_from_overrides(base if base is not None else cls(), overrides)
-
-    def with_overrides(self, overrides):
-        from repro.harness.overrides import config_from_overrides
-
-        return config_from_overrides(self, overrides)
 
 
 class Cluster:

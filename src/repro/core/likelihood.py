@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.config import Config
 from repro.core.conflicts import ConflictTracker
 from repro.mdcc.coordinator import ProgressSnapshot, RecordProgress
 from repro.net.latency import LatencyModel, _norm_ppf
@@ -41,7 +42,7 @@ _SQRT2 = math.sqrt(2.0)
 
 
 @dataclass
-class LikelihoodConfig:
+class LikelihoodConfig(Config):
     """Model variant selection (the full model is the default)."""
 
     use_deadline: bool = True          # ingredient 3
@@ -59,23 +60,6 @@ class LikelihoodConfig:
     # Extra per-response overhead beyond the pure network RTT (WAL sync at
     # the replica); keeps the deadline model honest about total response time.
     response_overhead_ms: float = 1.0
-
-    # -- uniform config API (see repro.harness.overrides) ---------------
-    def to_dict(self):
-        from repro.harness.overrides import config_to_dict
-
-        return config_to_dict(self)
-
-    @classmethod
-    def from_overrides(cls, overrides, base=None):
-        from repro.harness.overrides import config_from_overrides
-
-        return config_from_overrides(base if base is not None else cls(), overrides)
-
-    def with_overrides(self, overrides):
-        from repro.harness.overrides import config_from_overrides
-
-        return config_from_overrides(self, overrides)
 
 
 def poisson_binomial_tail(probabilities: Sequence[float], at_least: int) -> float:

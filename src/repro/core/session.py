@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.config import Config
 from repro.core.admission import AdmissionAction, AdmissionController, AdmissionPolicy
 from repro.core.conflicts import ConflictTracker
 from repro.core.likelihood import (
@@ -34,7 +35,7 @@ from repro.sim.process import Waiter
 
 
 @dataclass
-class PlanetConfig:
+class PlanetConfig(Config):
     """Session-level PLANET configuration."""
 
     likelihood: LikelihoodConfig = field(default_factory=LikelihoodConfig)
@@ -56,26 +57,6 @@ class PlanetConfig:
     default_guess_threshold: Optional[float] = None
     default_timeout_ms: Optional[float] = None
     use_empirical_model: bool = False
-
-    # -- uniform config API (see repro.harness.overrides) ---------------
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-encodable snapshot of every field (nested configs recursed)."""
-        from repro.harness.overrides import config_to_dict
-
-        return config_to_dict(self)
-
-    @classmethod
-    def from_overrides(cls, overrides, base: Optional["PlanetConfig"] = None) -> "PlanetConfig":
-        """Build a config from string ``key=value`` overrides (CLI ``--set``)."""
-        from repro.harness.overrides import config_from_overrides
-
-        return config_from_overrides(base if base is not None else cls(), overrides)
-
-    def with_overrides(self, overrides) -> "PlanetConfig":
-        """A copy of this config with string overrides applied."""
-        from repro.harness.overrides import config_from_overrides
-
-        return config_from_overrides(self, overrides)
 
 
 class PlanetSession:

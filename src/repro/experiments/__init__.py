@@ -1,6 +1,7 @@
 """Experiment drivers — one module per reproduced figure/table.
 
-Every module registers one ``SPEC`` (:mod:`repro.experiments.registry`);
+Every module registers one ``SPEC`` (:func:`repro.harness.spec.register`;
+discovery lives in :mod:`repro.experiments.registry`);
 ``python -m repro run <id>`` runs it and prints the figure's rows/series
 plus shape checks.  ``scale`` shrinks simulated duration/load so the same
 driver serves both the full reproduction (scale=1) and the
@@ -29,11 +30,8 @@ pytest-benchmark harness (scale<1).
 | T4  | YCSB core workloads summary                | t4_ycsb             |
 | SC1 | sharded planet-scale sim, 1M users         | scaleout_1m         |
 | ISO | isolation matrix: observed vs predicted    | iso_matrix          |
+| CHK | fault campaign + consistency checker       | check_campaign      |
 """
-
-from repro.experiments.common import ExperimentResult, ShapeCheck
-
-__all__ = ["ExperimentResult", "ShapeCheck"]
 
 ALL_EXPERIMENTS = [
     "t1_rtt_matrix",
@@ -57,4 +55,5 @@ ALL_EXPERIMENTS = [
     "t4_ycsb",
     "scaleout_1m",
     "iso_matrix",
+    "check_campaign",
 ]

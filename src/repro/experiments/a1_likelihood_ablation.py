@@ -21,10 +21,16 @@ from typing import Any, Dict, List
 
 from repro.core.likelihood import LikelihoodConfig
 from repro.core.session import PlanetConfig
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, microbench_run, scaled
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.experiments.common import microbench_run, scaled
 from repro.harness.report import Table
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 
 ARM_ORDER = ("full", "no-deadline", "independent", "static", "empirical")
 
@@ -113,7 +119,7 @@ def _reduce(point_rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentRe
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="a1_likelihood_ablation",
         figure="A1",

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from repro.core.admission import AdmissionPolicy
 from repro.core.session import PlanetConfig
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, microbench_run, scaled
+from repro.experiments.common import microbench_run, scaled
+from repro.experiments.registry import single_point_spec
 from repro.harness.report import Table
+from repro.harness.spec import ExperimentResult, ShapeCheck, register
 
 
 def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
@@ -115,8 +116,8 @@ def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
 # The random-shedding arm's reject rate is *measured* from the likelihood
 # arm's run — a cross-arm data dependency, so A3 stays a single-point
 # legacy spec rather than a parallelisable grid.
-SPEC = registry.register(
-    registry.single_point_spec(
+SPEC = register(
+    single_point_spec(
         experiment_id="a3_admission_policy",
         figure="A3",
         title="Admission policy ablation at matched shed rate",

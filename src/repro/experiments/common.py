@@ -2,139 +2,17 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Optional
 
 from repro.cluster import ClusterConfig
+from repro.config import strip_reserved
 from repro.core.session import PlanetConfig
 from repro.harness.config import RunConfig, WorkloadConfig
-from repro.harness.report import Table
 from repro.harness.results import RunResult
 from repro.harness.runner import run_experiment
+from repro.harness.spec import current_overrides
 from repro.workload.keys import HotspotChooser, UniformChooser
 from repro.workload.microbench import MicrobenchSpec, build_microbench_tx
-
-
-@dataclass
-class ShapeCheck:
-    """One assertion about the *shape* of a result (who wins, by how much)."""
-
-    name: str
-    passed: bool
-    detail: str
-
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: {self.detail}"
-
-
-def _json_safe(value):
-    """Best-effort conversion of experiment data to JSON-encodable types."""
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-@dataclass
-class ExperimentResult:
-    experiment_id: str
-    title: str
-    tables: List[Table] = field(default_factory=list)
-    figures: List[str] = field(default_factory=list)  # pre-rendered ASCII plots
-    checks: List[ShapeCheck] = field(default_factory=list)
-    data: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def all_checks_pass(self) -> bool:
-        return all(check.passed for check in self.checks)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-encodable form: tables, checks, raw data — for downstream
-        tooling (plotting, CI dashboards) via ``python -m repro run --json``."""
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "tables": [
-                {"title": t.title, "headers": t.headers, "rows": t.rows}
-                for t in self.tables
-            ],
-            "figures": list(self.figures),
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-            "all_checks_pass": self.all_checks_pass,
-            "data": _json_safe(self.data),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ExperimentResult":
-        """Inverse of :meth:`to_dict` (modulo ``data`` JSON coercion).
-
-        This is how cached / worker-produced results of pre-registry drivers
-        are rehydrated by the sweep executor.
-        """
-        result = cls(
-            experiment_id=payload["experiment_id"],  # type: ignore[arg-type]
-            title=payload["title"],  # type: ignore[arg-type]
-        )
-        for table_dict in payload.get("tables", []):  # type: ignore[union-attr]
-            table = Table(table_dict["title"], table_dict["headers"])
-            # Rows were already formatted to strings by Table.add_row.
-            table.rows = [list(row) for row in table_dict["rows"]]
-            result.tables.append(table)
-        result.figures = [str(figure) for figure in payload.get("figures", [])]
-        result.checks = [
-            ShapeCheck(c["name"], c["passed"], c["detail"])
-            for c in payload.get("checks", [])  # type: ignore[union-attr]
-        ]
-        result.data = dict(payload.get("data", {}))  # type: ignore[arg-type]
-        return result
-
-    def print(self) -> None:
-        banner = f"{self.experiment_id}: {self.title}"
-        print(banner)
-        print("#" * len(banner))
-        print()
-        for table in self.tables:
-            table.print()
-        for figure in self.figures:
-            print(figure)
-            print()
-        for check in self.checks:
-            print(check)
-        print()
-
-
-# ----------------------------------------------------------------------
-# Config overrides (CLI --set key=value), threaded to every driver.
-# ----------------------------------------------------------------------
-# The sweep executor activates the run's overrides around each point, so
-# every driver — converted or legacy — picks them up wherever it builds its
-# PlanetConfig, with one validation/error path (repro.harness.overrides).
-_ACTIVE_OVERRIDES: ContextVar[Optional[Mapping[str, str]]] = ContextVar(
-    "repro_active_overrides", default=None
-)
-
-
-@contextmanager
-def active_overrides(overrides: Optional[Mapping[str, str]]) -> Iterator[None]:
-    """Make ``overrides`` visible to :func:`planet_with_overrides` inside."""
-    token = _ACTIVE_OVERRIDES.set(overrides if overrides else None)
-    try:
-        yield
-    finally:
-        _ACTIVE_OVERRIDES.reset(token)
-
-
-def current_overrides() -> Optional[Mapping[str, str]]:
-    return _ACTIVE_OVERRIDES.get()
 
 
 def planet_with_overrides(planet: Optional[PlanetConfig]) -> PlanetConfig:
@@ -145,10 +23,8 @@ def planet_with_overrides(planet: Optional[PlanetConfig]) -> PlanetConfig:
     harness's backend selection — so they are stripped before PlanetConfig
     validation.
     """
-    from repro.harness.overrides import strip_reserved
-
     planet = planet if planet is not None else PlanetConfig()
-    overrides = _ACTIVE_OVERRIDES.get()
+    overrides = current_overrides()
     if overrides:
         overrides = strip_reserved(overrides)
     if overrides:

@@ -20,10 +20,16 @@ from typing import Any, Dict, List
 from repro.core.admission import AdmissionPolicy
 from repro.core.session import PlanetConfig
 from repro.core.stages import TxStage
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, microbench_run, scaled
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.experiments.common import microbench_run, scaled
 from repro.harness.report import Table
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 
 HOT_SET_SIZES = (1024, 256, 64, 16, 8)
 
@@ -126,7 +132,7 @@ def _reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="f10_contention",
         figure="F10",

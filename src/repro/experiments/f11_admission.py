@@ -18,10 +18,16 @@ from typing import Any, Dict, List
 
 from repro.core.admission import AdmissionPolicy
 from repro.core.session import PlanetConfig
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, microbench_run, scaled
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.experiments.common import microbench_run, scaled
 from repro.harness.report import Table
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 
 OFFERED_LOADS_TPS = (0.5, 2.0, 8.0, 16.0, 32.0)
 
@@ -114,7 +120,7 @@ def _reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="f11_admission",
         figure="F11",

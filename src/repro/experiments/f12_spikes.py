@@ -14,9 +14,10 @@ p99 of (a) blocking final-commit latency vs (b) the PLANET response latency
 
 from __future__ import annotations
 
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, microbench_run, scaled
+from repro.experiments.common import microbench_run, scaled
+from repro.experiments.registry import single_point_spec
 from repro.harness.report import Table
+from repro.harness.spec import ExperimentResult, ShapeCheck, register
 from repro.stats.histogram import LatencyCdf
 from repro.workload.spikes import periodic_spikes
 
@@ -120,8 +121,8 @@ def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
-    registry.single_point_spec(
+SPEC = register(
+    single_point_spec(
         experiment_id="f12_spikes",
         figure="F12",
         title="Latency under injected wide-area spikes (4x)",

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, scaled
+from repro.experiments.common import scaled
+from repro.experiments.registry import single_point_spec
 from repro.harness.report import Table
+from repro.harness.spec import ExperimentResult, ShapeCheck, register
+from repro.workload.clients import OpenLoopClient
 from repro.workload.keys import UniformChooser
 from repro.workload.microbench import MicrobenchSpec, build_microbench_tx
-from repro.workload.clients import OpenLoopClient
 
 
 def _run_arm(seed: int, duration: float, crash_at: float, option_ttl_ms):
@@ -149,8 +150,8 @@ def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
-    registry.single_point_spec(
+SPEC = register(
+    single_point_spec(
         experiment_id="f13_coordinator_failure",
         figure="F13",
         title="Coordinator crash: orphaned options vs the recovery protocol",

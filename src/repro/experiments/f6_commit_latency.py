@@ -11,11 +11,17 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, microbench_run, scaled
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.experiments.common import microbench_run, scaled
 from repro.harness.ascii_plot import render_cdfs
 from repro.harness.report import Table
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 from repro.stats.histogram import LatencyCdf
 
 ENGINES = ("mdcc", "twopc")
@@ -107,7 +113,7 @@ def _reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="f6_commit_latency",
         figure="F6",

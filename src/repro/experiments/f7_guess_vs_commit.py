@@ -16,10 +16,11 @@ optimistic abort does not touch.
 
 from __future__ import annotations
 
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, microbench_run, scaled
+from repro.experiments.common import microbench_run, scaled
+from repro.experiments.registry import single_point_spec
 from repro.harness.ascii_plot import render_cdfs
 from repro.harness.report import Table
+from repro.harness.spec import ExperimentResult, ShapeCheck, register
 
 
 def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
@@ -147,8 +148,8 @@ def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
-    registry.single_point_spec(
+SPEC = register(
+    single_point_spec(
         experiment_id="f7_guess_vs_commit",
         figure="F7",
         title="Time-to-guess vs time-to-final-commit CDF",

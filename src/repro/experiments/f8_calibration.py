@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, microbench_run, scaled
+from repro.experiments.common import microbench_run, scaled
+from repro.experiments.registry import single_point_spec
 from repro.harness.report import Table
+from repro.harness.spec import ExperimentResult, ShapeCheck, register
 
 
 def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
@@ -80,8 +81,8 @@ def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
-    registry.single_point_spec(
+SPEC = register(
+    single_point_spec(
         experiment_id="f8_calibration",
         figure="F8",
         title="Commit-likelihood calibration (predicted vs observed)",

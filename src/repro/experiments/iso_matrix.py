@@ -29,10 +29,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, scaled
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.experiments.common import scaled
 from repro.harness.report import Table
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 
 LEVELS = ("serializable", "snapshot", "monotonic-session", "read-committed")
 
@@ -265,7 +271,7 @@ def _reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="iso_matrix",
         figure="ISO",

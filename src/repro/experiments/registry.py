@@ -1,41 +1,28 @@
-"""The experiment registry: one API over every reproduced figure/table.
+"""Experiment discovery: one API over every reproduced figure/table.
 
-Historically each of the 19 experiment drivers was its own ad-hoc entry
-point (``module.run(seed, scale)``) that the CLI discovered by importing
-modules by name.  The registry replaces that with a single, declarative
-surface: every driver registers an :class:`ExperimentSpec` describing
-
-* its **grid** — the sweep's points (thresholds, hot-set sizes, loss
-  rates, …) as picklable, self-describing :class:`GridPoint` work units;
-* **run_point** — how to produce one point's row (a JSON-safe dict) given a
-  :class:`PointContext` (derived seed, scale, config overrides);
-* **reduce** — how to fold the rows, in grid order, into the final
-  :class:`~repro.experiments.common.ExperimentResult` (tables, figures,
-  shape checks).
-
-``registry.get(name)`` / ``registry.all()`` are the only discovery paths
-the CLI, harness, and benchmarks use; experiment-id prefix matching lives
-here too.  Because points are self-contained work units, the
-:mod:`repro.harness.parallel` executor can run them serially, in worker
-processes, or out of a result cache — all producing identical results.
-
-Seed derivation
----------------
-Each point runs with ``derive_seed(root_seed, point_key)`` — a stable hash,
-so the seed a point sees is a function of the experiment's root seed and
-the point's identity only, never of execution order or placement.  That is
-what makes ``--jobs 4`` byte-identical to ``--jobs 1``.  Specs wrapping a
-pre-registry driver set ``derive_seeds=False`` to preserve their historical
-output exactly.
+Every driver module in :mod:`repro.experiments` registers an
+:class:`~repro.harness.spec.ExperimentSpec` (grid → run_point → reduce)
+with :func:`repro.harness.spec.register` when it is imported.  This module
+imports the drivers listed in :data:`repro.experiments.ALL_EXPERIMENTS`
+and resolves ids: ``registry.get(name)`` / ``registry.all()`` are the only
+discovery paths the CLI, benchmarks, and tests use, and experiment-id
+prefix matching lives here too.  :func:`single_point_spec` adapts a
+whole-run driver to the spec shape.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+import importlib
+from typing import Any, Callable, Dict, List, Sequence
 
-from repro.experiments.common import ExperimentResult
+from repro.experiments import ALL_EXPERIMENTS
+from repro.harness.spec import (
+    SPECS,
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+)
 
 
 class UnknownExperimentError(LookupError):
@@ -54,117 +41,23 @@ class AmbiguousExperimentError(LookupError):
         )
 
 
-def derive_seed(root_seed: int, point_key: str) -> int:
-    """Deterministic per-point child seed: a stable hash of (root, key).
-
-    Independent of execution order, worker placement, and Python hash
-    randomisation — the property the parallel/serial equivalence guarantee
-    rests on.
-    """
-    digest = hashlib.sha256(f"{root_seed}:{point_key}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One self-describing, picklable unit of sweep work.
-
-    ``key`` identifies the point within its experiment (stable across runs
-    and code versions — it feeds seed derivation and the result cache);
-    ``params`` are the plain-data inputs ``run_point`` consumes.
-    """
-
-    key: str
-    params: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PointContext:
-    """Everything a point (or the reduce step) needs besides its params."""
-
-    seed: int                      # derived per-point seed (root seed in reduce)
-    scale: float
-    overrides: Mapping[str, str] = field(default_factory=dict)
-
-
-RunPoint = Callable[[Dict[str, Any], PointContext], Dict[str, Any]]
-Reduce = Callable[[List[Dict[str, Any]], PointContext], ExperimentResult]
-
-
-@dataclass
-class ExperimentSpec:
-    """A registered experiment: identity + grid + point runner + reducer."""
-
-    id: str                        # canonical id, e.g. "f9_threshold_sweep"
-    figure: str                    # paper artefact, e.g. "F9"
-    title: str                     # one-line description (CLI list)
-    module: str                    # import path workers load the spec from
-    grid: Callable[[float], List[GridPoint]]
-    run_point: RunPoint
-    reduce: Reduce
-    derive_seeds: bool = True      # False: points see the root seed verbatim
-
-    def seed_for(self, root_seed: int, point: GridPoint) -> int:
-        if not self.derive_seeds:
-            return root_seed
-        return derive_seed(root_seed, point.key)
-
-    def run(
-        self,
-        seed: int = 0,
-        scale: float = 1.0,
-        overrides: Optional[Mapping[str, str]] = None,
-        options=None,
-    ) -> ExperimentResult:
-        """Run the full sweep (serially unless ``options.jobs`` says more)
-        and return the reduced :class:`ExperimentResult`."""
-        from repro.harness.parallel import run_sweep
-
-        return run_sweep(
-            self, seed=seed, scale=scale, overrides=overrides, options=options
-        ).result
-
-
-# ----------------------------------------------------------------------
-# The registry proper.
-# ----------------------------------------------------------------------
-_SPECS: Dict[str, ExperimentSpec] = {}
-_LOADED = False
-
-
-def register(spec: ExperimentSpec) -> ExperimentSpec:
-    """Register ``spec`` (idempotent per id: re-import wins, same module)."""
-    _SPECS[spec.id] = spec
-    return spec
-
-
 def _ensure_loaded() -> None:
     """Import every driver module so its spec registration has run."""
-    global _LOADED
-    if _LOADED:
-        return
-    import importlib
-
-    from repro.experiments import ALL_EXPERIMENTS
-
     for experiment_id in ALL_EXPERIMENTS:
         importlib.import_module(f"repro.experiments.{experiment_id}")
-    _LOADED = True
 
 
 def ids() -> List[str]:
     """Canonical experiment ids, in suite order."""
     _ensure_loaded()
-    from repro.experiments import ALL_EXPERIMENTS
-
-    known = [eid for eid in ALL_EXPERIMENTS if eid in _SPECS]
-    extras = sorted(eid for eid in _SPECS if eid not in ALL_EXPERIMENTS)
+    known = [eid for eid in ALL_EXPERIMENTS if eid in SPECS]
+    extras = sorted(eid for eid in SPECS if eid not in ALL_EXPERIMENTS)
     return known + extras
 
 
 def all() -> List[ExperimentSpec]:  # noqa: A001 - mirrors the issue's API
     """Every registered spec, in suite order."""
-    return [_SPECS[eid] for eid in ids()]
+    return [SPECS[eid] for eid in ids()]
 
 
 def get(name: str) -> ExperimentSpec:
@@ -179,15 +72,15 @@ def get(name: str) -> ExperimentSpec:
     :class:`UnknownExperimentError`.
     """
     _ensure_loaded()
-    if name in _SPECS:
-        return _SPECS[name]
+    if name in SPECS:
+        return SPECS[name]
     matches = [eid for eid in ids() if eid.startswith(name)]
     if len(matches) == 1:
-        return _SPECS[matches[0]]
+        return SPECS[matches[0]]
     if matches:
         boundary = [eid for eid in matches if eid[len(name):][:1] == "_"]
         if len(boundary) == 1:
-            return _SPECS[boundary[0]]
+            return SPECS[boundary[0]]
         raise AmbiguousExperimentError(name, matches)
     raise UnknownExperimentError(
         f"unknown experiment {name!r}; try: python -m repro list"

@@ -14,10 +14,16 @@ from typing import Any, Dict, List
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, scaled
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.experiments.common import scaled
 from repro.harness.report import Table
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 from repro.net.topology import make_synthetic_topology
 from repro.paxos.ballot import fast_quorum
 from repro.workload.clients import OpenLoopClient
@@ -114,7 +120,7 @@ def _reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="s1_scaleout",
         figure="S1",

@@ -13,17 +13,18 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.cluster import ClusterConfig
-from repro.experiments import registry
-from repro.experiments.common import (
-    ExperimentResult,
-    ShapeCheck,
-    planet_with_overrides,
-    scaled,
-)
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.experiments.common import planet_with_overrides, scaled
 from repro.harness.config import RunConfig, WorkloadConfig
 from repro.harness.report import Table
 from repro.harness.runner import run_experiment
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 from repro.workload.keys import HotspotChooser
 from repro.workload.microbench import MicrobenchSpec, build_microbench_tx
 
@@ -111,7 +112,7 @@ def _reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="s2_jitter",
         figure="S2",

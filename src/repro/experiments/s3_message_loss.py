@@ -20,10 +20,16 @@ from typing import Any, Dict, List
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck, scaled
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.experiments.common import scaled
 from repro.harness.report import Table
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 from repro.workload.clients import OpenLoopClient
 from repro.workload.keys import UniformChooser
 from repro.workload.microbench import MicrobenchSpec, build_microbench_tx
@@ -139,7 +145,7 @@ def _reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="s3_message_loss",
         figure="S3",

@@ -9,9 +9,9 @@ tolerance — the precondition for every latency figure that follows.
 
 from __future__ import annotations
 
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck
+from repro.experiments.registry import single_point_spec
 from repro.harness.report import Table
+from repro.harness.spec import ExperimentResult, ShapeCheck, register
 from repro.net.latency import LatencyModel
 from repro.net.topology import EC2_FIVE_DC
 from repro.sim.rng import RngRegistry
@@ -69,8 +69,8 @@ def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
-    registry.single_point_spec(
+SPEC = register(
+    single_point_spec(
         experiment_id="t1_rtt_matrix",
         figure="T1",
         title="Inter-data-center RTT matrix (measured vs configured)",

@@ -11,17 +11,12 @@ best-sellers, while delta options commute and almost never abort.
 from __future__ import annotations
 
 from repro.cluster import ClusterConfig
-from repro.experiments import registry
-from repro.experiments.common import (
-    ExperimentResult,
-    ShapeCheck,
-    microbench_run,
-    planet_with_overrides,
-    scaled,
-)
+from repro.experiments.common import microbench_run, planet_with_overrides, scaled
+from repro.experiments.registry import single_point_spec
 from repro.harness.config import RunConfig, WorkloadConfig
 from repro.harness.report import Table
 from repro.harness.runner import run_experiment
+from repro.harness.spec import ExperimentResult, ShapeCheck, register
 from repro.workload.tpcw import TpcwSpec, build_checkout_tx
 
 
@@ -122,8 +117,8 @@ def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
-    registry.single_point_spec(
+SPEC = register(
+    single_point_spec(
         experiment_id="t2_summary",
         figure="T2",
         title="Workload summary (microbench + TPC-W-like checkout)",

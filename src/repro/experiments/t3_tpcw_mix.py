@@ -13,16 +13,12 @@ outcome quality per transaction type.  The shape claims:
 from __future__ import annotations
 
 from repro.cluster import ClusterConfig
-from repro.experiments import registry
-from repro.experiments.common import (
-    ExperimentResult,
-    ShapeCheck,
-    planet_with_overrides,
-    scaled,
-)
+from repro.experiments.common import planet_with_overrides, scaled
+from repro.experiments.registry import single_point_spec
 from repro.harness.config import RunConfig, WorkloadConfig
 from repro.harness.report import Table
 from repro.harness.runner import run_experiment
+from repro.harness.spec import ExperimentResult, ShapeCheck, register
 from repro.stats.histogram import LatencyCdf
 from repro.workload.tpcw import TpcwSpec, build_tpcw_tx
 
@@ -123,8 +119,8 @@ def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
-    registry.single_point_spec(
+SPEC = register(
+    single_point_spec(
         experiment_id="t3_tpcw_mix",
         figure="T3",
         title="TPC-W-like mixed workload, per-transaction-type breakdown",

@@ -20,17 +20,18 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.cluster import ClusterConfig
-from repro.experiments import registry
-from repro.experiments.common import (
-    ExperimentResult,
-    ShapeCheck,
-    planet_with_overrides,
-    scaled,
-)
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.experiments.common import planet_with_overrides, scaled
 from repro.harness.config import RunConfig, WorkloadConfig
 from repro.harness.report import Table
 from repro.harness.runner import run_experiment
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 from repro.workload.ycsb import YcsbSpec, build_ycsb_tx
 
 WORKLOADS = ("a", "b", "c", "d", "e", "f")
@@ -118,7 +119,7 @@ def _reduce(point_rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentRe
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="t4_ycsb",
         figure="T4",

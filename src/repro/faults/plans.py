@@ -30,9 +30,10 @@ stay decidable.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.net.partitions import LossWindow, PartitionWindow
 from repro.workload.spikes import Spike, apply_spikes
@@ -78,13 +79,7 @@ class FaultPlan:
 
     @property
     def is_empty(self) -> bool:
-        return not (
-            self.spikes
-            or self.partitions
-            or self.loss_windows
-            or self.coordinator_crashes
-            or self.replica_crashes
-        )
+        return not any(getattr(self, section) for section in _SECTIONS)
 
     def describe(self) -> str:
         parts = []
@@ -112,30 +107,64 @@ class FaultPlan:
     # -- serialisation (replayable campaign plans) ----------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "spikes": [dataclasses.asdict(s) for s in self.spikes],
-            "partitions": [dataclasses.asdict(w) for w in self.partitions],
-            "loss_windows": [dataclasses.asdict(w) for w in self.loss_windows],
-            "coordinator_crashes": [
-                dataclasses.asdict(c) for c in self.coordinator_crashes
-            ],
-            "replica_crashes": [dataclasses.asdict(c) for c in self.replica_crashes],
+            section: [dataclasses.asdict(entry) for entry in getattr(self, section)]
+            for section in _SECTIONS
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        return cls(
-            spikes=[Spike(**s) for s in payload.get("spikes", [])],
-            partitions=[
-                PartitionWindow(**w) for w in payload.get("partitions", [])
-            ],
-            loss_windows=[LossWindow(**w) for w in payload.get("loss_windows", [])],
-            coordinator_crashes=[
-                CoordinatorCrash(**c) for c in payload.get("coordinator_crashes", [])
-            ],
-            replica_crashes=[
-                ReplicaCrash(**c) for c in payload.get("replica_crashes", [])
-            ],
-        )
+        """Inverse of :meth:`to_dict`; absent sections are empty.
+
+        A stored plan is input, so anything :meth:`to_dict` could not have
+        written — an unknown section, an entry with an unknown, missing or
+        mistyped field — raises :class:`ValueError` naming the section and
+        entry index instead of replaying a different plan.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"a fault plan is an object, got {payload!r}")
+        unknown = sorted(set(payload) - set(_SECTIONS))
+        if unknown:
+            raise ValueError(
+                f"unknown fault plan section(s) {', '.join(map(repr, unknown))}; "
+                f"valid sections: {', '.join(_SECTIONS)}"
+            )
+        sections = {}
+        for section, kind in _SECTIONS.items():
+            entries = payload.get(section, [])
+            if not isinstance(entries, list):
+                raise ValueError(f"{section}: expected a list, got {entries!r}")
+            sections[section] = [
+                _entry_from_dict(kind, f"{section}[{index}]", entry)
+                for index, entry in enumerate(entries)
+            ]
+        return cls(**sections)
+
+
+#: Plan section -> entry type, in serialisation order.
+_SECTIONS = {
+    "spikes": Spike,
+    "partitions": PartitionWindow,
+    "loss_windows": LossWindow,
+    "coordinator_crashes": CoordinatorCrash,
+    "replica_crashes": ReplicaCrash,
+}
+
+#: Field type -> JSON value types a stored plan may give it.
+_ACCEPTS = {float: (int, float), str: (str,), Optional[str]: (str, type(None))}
+
+
+def _entry_from_dict(kind, where: str, entry: Any):
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object, got {entry!r}")
+    try:
+        value = kind(**entry)
+    except TypeError as exc:  # unknown or missing field
+        raise ValueError(f"{where}: {exc}") from None
+    for name, hint in typing.get_type_hints(kind).items():
+        field_value = getattr(value, name)
+        if isinstance(field_value, bool) or not isinstance(field_value, _ACCEPTS[hint]):
+            raise ValueError(f"{where}.{name}: bad value {field_value!r}")
+    return value
 
 
 def chaos_plan(

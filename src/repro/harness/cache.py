@@ -42,9 +42,7 @@ def code_fingerprint() -> str:
     """
     global _FINGERPRINT
     if _FINGERPRINT is None:
-        import repro
-
-        root = Path(repro.__file__).resolve().parent
+        root = Path(__file__).resolve().parents[1]  # the repro package
         hasher = hashlib.sha256()
         for path in sorted(root.rglob("*.py")):
             hasher.update(str(path.relative_to(root)).encode("utf-8"))

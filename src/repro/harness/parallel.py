@@ -1,13 +1,13 @@
 """The parallel sweep executor: grid points across worker processes.
 
 Every PLANET figure is a sweep (threshold grids, RTT matrices, contention
-ladders).  The registry (:mod:`repro.experiments.registry`) makes each grid
+ladders).  An :class:`~repro.harness.spec.ExperimentSpec` makes each grid
 point a picklable, self-describing work unit; this module executes them —
 inline for ``jobs=1``, across ``jobs`` worker processes otherwise — with
 four guarantees:
 
 * **Determinism** — each point's seed is derived from (root seed, point
-  key) by :func:`~repro.experiments.registry.derive_seed`, so results are
+  key) by :func:`~repro.harness.spec.derive_seed`, so results are
   independent of scheduling, placement, and completion order.  A
   ``--jobs 4`` run is byte-identical to a serial run: same
   :class:`~repro.harness.results.ResultSet` digest, same
@@ -32,18 +32,24 @@ import json
 import multiprocessing
 import os
 import queue as queue_module
+import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import engine, obs
-from repro.experiments import common
-from repro.experiments.common import ExperimentResult
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
 from repro.harness.cache import ResultCache, code_fingerprint, point_cache_key
 from repro.harness.perf import PerfReport, PhaseClock
 from repro.harness.results import ResultSet
+from repro.harness.spec import (
+    SPECS,
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    active_overrides,
+)
 from repro.obs.metrics import current as current_metrics
 from repro.obs.metrics import peak_rss_bytes
 
@@ -111,19 +117,6 @@ def default_start_method() -> str:
 # ----------------------------------------------------------------------
 # Point execution (shared by the inline path and the workers).
 # ----------------------------------------------------------------------
-class _RecordCollector(obs.Sink):
-    """Unbounded capture sink used inside workers (records are forwarded)."""
-
-    def __init__(self) -> None:
-        self.records: List[Any] = []
-
-    def on_event(self, event) -> None:
-        self.records.append(event)
-
-    def on_span(self, span) -> None:
-        self.records.append(span)
-
-
 def _execute_point(
     spec: ExperimentSpec,
     point: GridPoint,
@@ -144,16 +137,17 @@ def _execute_point(
     # ``--set engine.backend=...`` selects the simulator kernel for the
     # point.  Wrapping here (not in run_sweep) covers serial and worker
     # execution with the same seam; absent/auto is a no-op.
-    with engine.use(overrides.get("engine.backend")), common.active_overrides(overrides):
+    with engine.use(overrides.get("engine.backend")), active_overrides(overrides):
         if capture is not None:
-            collector = _RecordCollector()
+            # Unbounded: every record is forwarded to the parent.
+            collector = obs.FlightRecorder(capacity=sys.maxsize)
             categories = capture["categories"]
-            with obs.capture(
+            with obs.session(
                 collector,
                 categories=frozenset(categories) if categories is not None else None,
             ):
                 row = spec.run_point(dict(point.params), ctx)
-            records = [obs.record_to_dict(record) for record in collector.records]
+            records = [obs.record_to_dict(record) for record in collector.records()]
         else:
             row = spec.run_point(dict(point.params), ctx)
             records = None
@@ -192,12 +186,10 @@ def _worker_main(task_queue, result_queue) -> None:  # pragma: no cover - subpro
         task_id = task["task_id"]
         result_queue.put(("started", task_id, os.getpid(), None))
         try:
+            # Importing the driver module registers its spec.
             importlib.import_module(task["module"])
-            from repro.experiments import registry
-
-            spec = registry.get(task["experiment_id"])
             row, records, rss = _execute_point(
-                spec,
+                SPECS[task["experiment_id"]],
                 GridPoint(task["point_key"], task["params"]),
                 task["seed"],
                 task["scale"],
@@ -242,17 +234,13 @@ def _replay_records(index: int, records: List[Dict[str, Any]]) -> None:
 # The executor.
 # ----------------------------------------------------------------------
 def run_sweep(
-    spec: Union[ExperimentSpec, str],
+    spec: ExperimentSpec,
     seed: int = 0,
     scale: float = 1.0,
     overrides: Optional[Mapping[str, str]] = None,
     options: Optional[SweepOptions] = None,
 ) -> SweepRun:
     """Execute one experiment's full grid and reduce it to its result."""
-    if isinstance(spec, str):
-        from repro.experiments import registry
-
-        spec = registry.get(spec)
     options = options if options is not None else SweepOptions()
     overrides = dict(overrides) if overrides else {}
     started = time.monotonic()
@@ -395,7 +383,7 @@ def run_sweep(
             points=[(point.key, rows[index]) for index, point in enumerate(points)],
         )
         reduce_ctx = PointContext(seed=seed, scale=scale, overrides=overrides)
-        with common.active_overrides(overrides):
+        with active_overrides(overrides):
             result = spec.reduce([dict(row) for row in result_set.rows()], reduce_ctx)
     perf = clock.report()
     perf.peak_rss_bytes = peak_rss

@@ -19,7 +19,7 @@ Typical use from tests or drivers::
     from repro import obs
 
     recorder = obs.FlightRecorder()
-    with obs.capture(recorder):
+    with obs.session(recorder):
         result = run_experiment(config)   # every Simulator created inside
                                           # the block traces into recorder
     obs.write_chrome_trace("trace.json", recorder)
@@ -30,7 +30,8 @@ See ``docs/observability.md`` for the category reference and sink API.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Tuple
 
 from repro.obs.events import (
     CATEGORIES,
@@ -63,8 +64,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.metrics import active as metrics_active
 from repro.obs.metrics import current as current_metrics
-from repro.obs.metrics import install as install_metrics
-from repro.obs.metrics import uninstall as uninstall_metrics
 from repro.obs.profile import ProfileReport, SpanAggregator, render_profile
 from repro.obs.recorder import FlightRecorder
 from repro.obs.spans import Span
@@ -84,15 +83,12 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "ValueHist",
-    "capture",
     "capture_active",
     "chrome_trace",
-    "collect_metrics",
     "current_metrics",
     "emit_to_capture",
     "events_from_transaction",
     "install",
-    "install_metrics",
     "installed_categories",
     "metrics_active",
     "new_tracer",
@@ -102,65 +98,17 @@ __all__ = [
     "render_profile",
     "session",
     "uninstall",
-    "uninstall_metrics",
     "write_chrome_trace",
     "write_jsonl",
 ]
 
 
-@contextmanager
-def capture(
-    *sinks: Sink, categories: Optional[Iterable[str]] = DEFAULT_CATEGORIES
-) -> Iterator[None]:
-    """Trace every simulator created inside the block into ``sinks``.
-
-    ``categories`` defaults to everything except per-dispatch ``sim``
-    events; pass ``categories=None`` for the full firehose.
-    """
-    install(sinks, categories=categories)
-    try:
-        yield
-    finally:
-        uninstall()
-
-
-@contextmanager
-def collect_metrics(
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterator[MetricsRegistry]:
-    """Collect metrics from every simulator created inside the block.
-
-    Yields the registry (a fresh one when none is passed)::
-
-        with obs.collect_metrics() as metrics:
-            result = run_experiment(config)
-        print(metrics.snapshot()["counters"]["sim.events"])
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    _metrics_module.install(registry)
-    try:
-        yield registry
-    finally:
-        _metrics_module.uninstall()
-
-
+@dataclass(frozen=True)
 class ObsSession:
     """Handles yielded by :func:`session`: whatever was installed."""
 
-    def __init__(self, sinks, metrics, history) -> None:
-        self.sinks = tuple(sinks)
-        #: The installed :class:`MetricsRegistry`, or None.
-        self.metrics: Optional[MetricsRegistry] = metrics
-        #: The installed ``repro.check.history.HistoryRecorder``, or None.
-        self.history = history
-
-    def __repr__(self) -> str:
-        parts = [f"sinks={len(self.sinks)}"]
-        if self.metrics is not None:
-            parts.append("metrics")
-        if self.history is not None:
-            parts.append("history")
-        return f"<ObsSession {' '.join(parts)}>"
+    sinks: Tuple[Sink, ...]
+    metrics: Optional[MetricsRegistry]  # None when no registry was asked for
 
 
 @contextmanager
@@ -168,56 +116,44 @@ def session(
     *sinks: Sink,
     categories: Optional[Iterable[str]] = DEFAULT_CATEGORIES,
     metrics=None,
-    history: bool = False,
 ) -> Iterator[ObsSession]:
-    """One process-wide observability session.
+    """The one way to install observability process-wide.
 
-    Unifies the three install patterns that previously had to be stacked
-    by hand — event capture (:func:`capture`), metrics collection
-    (:func:`collect_metrics`), and client-history recording
-    (``HistoryRecorder().attach(sim)``)::
+    Every simulator created inside the block traces into ``sinks`` and
+    records into the metrics registry::
 
-        with obs.session(recorder, metrics=True, history=True) as s:
+        recorder, history = obs.FlightRecorder(), HistoryRecorder()
+        with obs.session(recorder, history, metrics=True) as s:
             run_experiment(config)
         s.metrics.snapshot()
-        s.history.history().check(...)
+        check_history(history.history())   # repro.check
 
-    ``metrics`` is ``True`` for a fresh :class:`MetricsRegistry`, an
-    existing registry to install, or ``None``/``False`` for no metrics.
-    ``history=True`` adds a ``HistoryRecorder`` to the capture sinks (the
-    ``history`` category is force-included so the recorder actually sees
-    its events).  Everything installed is uninstalled on exit, in reverse
-    order.  Per-simulator attachment (``HistoryRecorder().attach(sim)``)
-    remains available for processes hosting several simulators at once,
-    e.g. the scale shards.
+    ``categories`` defaults to everything except per-dispatch ``sim`` and
+    wall-clock ``progress`` events (``history`` included); pass
+    ``categories=None`` for the full firehose.  ``metrics`` is ``True`` for
+    a fresh :class:`MetricsRegistry`, an existing registry to install, or
+    ``None``/``False`` for no metrics.  Everything installed is
+    uninstalled on exit, in reverse order.  Code recording one simulator
+    while an outer session may be live attaches a sink to that simulator
+    instead, e.g. ``HistoryRecorder().attach(sim)``.
     """
-    capture_sinks = list(sinks)
-    history_recorder = None
-    if history:
-        from repro.check.history import HistoryRecorder
-
-        history_recorder = HistoryRecorder()
-        capture_sinks.append(history_recorder)
-        if categories is not None:
-            categories = frozenset(categories) | {"history"}
     registry: Optional[MetricsRegistry] = None
     if metrics is True:
         registry = MetricsRegistry()
     elif metrics:
         registry = metrics
-    if not capture_sinks and registry is None:
+    if not sinks and registry is None:
         raise ValueError(
-            "obs.session(...) would install nothing: pass sinks, "
-            "metrics=..., and/or history=True"
+            "obs.session(...) would install nothing: pass sinks and/or metrics=..."
         )
-    if capture_sinks:
-        install(capture_sinks, categories=categories)
+    if sinks:
+        install(sinks, categories=categories)
     if registry is not None:
         _metrics_module.install(registry)
     try:
-        yield ObsSession(capture_sinks, registry, history_recorder)
+        yield ObsSession(sinks, registry)
     finally:
         if registry is not None:
             _metrics_module.uninstall()
-        if capture_sinks:
+        if sinks:
             uninstall()

@@ -18,7 +18,7 @@ Experiments build their own :class:`~repro.sim.kernel.Simulator` deep
 inside the harness, so the CLI cannot hand a tracer down.  Instead,
 :func:`install` registers sinks process-wide; every simulator created while
 a capture is installed binds them at construction (the kernel calls
-:func:`new_tracer`).  :func:`repro.obs.capture` wraps install/uninstall as
+:func:`new_tracer`).  :func:`repro.obs.session` wraps install/uninstall as
 a context manager.
 
 This module imports nothing from the rest of ``repro`` — the bus is usable

@@ -16,7 +16,7 @@ Design mirrors the tracer exactly:
   the harness, so callers install a registry process-wide
   (:func:`install`); every :class:`~repro.sim.kernel.Simulator` created
   while it is installed binds it at construction.
-  :func:`repro.obs.collect_metrics` wraps install/uninstall as a
+  ``repro.obs.session(metrics=...)`` wraps install/uninstall as a
   context manager.
 * **Labels.**  Every instrument takes ``**labels`` (``kind=``, ``node=``,
   ``path=``, ``dc=`` …); a labelled family renders as

@@ -21,9 +21,14 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro import obs
-from repro.experiments import registry
-from repro.experiments.common import ExperimentResult, ShapeCheck
-from repro.experiments.registry import ExperimentSpec, GridPoint, PointContext
+from repro.harness.spec import (
+    ExperimentResult,
+    ExperimentSpec,
+    GridPoint,
+    PointContext,
+    ShapeCheck,
+    register,
+)
 
 VALUES = (1, 2, 3, 4)
 
@@ -72,7 +77,7 @@ def _reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentResult:
     return result
 
 
-SPEC = registry.register(
+SPEC = register(
     ExperimentSpec(
         id="zz_sweep_fixture",
         figure="TEST",
@@ -113,7 +118,7 @@ def _chaos_reduce(rows: List[Dict[str, Any]], ctx: PointContext) -> ExperimentRe
     return result
 
 
-CHAOS_SPEC = registry.register(
+CHAOS_SPEC = register(
     ExperimentSpec(
         id="zz_sweep_chaos",
         figure="TEST",

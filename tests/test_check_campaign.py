@@ -7,8 +7,15 @@ the ``slow`` marker and run in the benchmarks CI job, not tier-1.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.check import campaign
 from repro.check.campaign import (
     load_plan,
@@ -17,10 +24,14 @@ from repro.check.campaign import (
     run_schedule,
     write_plan,
 )
+from repro.cli import main
 from repro.experiments import registry
+from repro.experiments.check_campaign import SPEC
 from repro.faults import FaultPlan
 from repro.harness.parallel import SweepOptions, run_sweep
 from repro.ops import reset_txid_counter
+
+EXAMPLE_PLAN = Path(__file__).resolve().parents[1] / "examples" / "campaign_plan.json"
 
 
 @pytest.fixture(autouse=True)
@@ -61,29 +72,48 @@ class TestRunSchedule:
         assert any(v["invariant"] == "quorum" for v in violations)
 
 
+def _fresh_repro(*args, cwd):
+    """``python -m repro ARGS`` in a new interpreter: nothing pre-imported."""
+    env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
 class TestCampaignExperiment:
     def test_registered_and_discoverable(self):
-        spec = registry.get(campaign.EXPERIMENT_ID)
-        assert spec.module == "repro.check.campaign"
+        spec = registry.get("check_campaign")
+        assert spec is SPEC
+        assert spec.module == "repro.experiments.check_campaign"
+
+    def test_fresh_process_lists_and_runs_it(self, tmp_path):
+        listed = _fresh_repro("list", cwd=tmp_path)
+        assert listed.returncode == 0, listed.stderr
+        assert "check_campaign" in listed.stdout
+        assert len(listed.stdout.splitlines()) == 22
+        ran = _fresh_repro(
+            "run", "check_campaign", "--scale", "0.04", "--no-cache", cwd=tmp_path
+        )
+        assert ran.returncode == 0, ran.stderr
+        assert "[PASS] no_violations" in ran.stdout
 
     def test_small_campaign_clean_and_jobs_equivalent(self):
-        spec = registry.get(campaign.EXPERIMENT_ID)
         overrides = {"check.duration_ms": "2000"}
         serial = run_sweep(
-            spec, seed=0, scale=0.08, overrides=overrides,
+            SPEC, seed=0, scale=0.08, overrides=overrides,
             options=SweepOptions(jobs=1),
         )
         assert serial.result.all_checks_pass
         parallel = run_sweep(
-            spec, seed=0, scale=0.08, overrides=overrides,
+            SPEC, seed=0, scale=0.08, overrides=overrides,
             options=SweepOptions(jobs=2),
         )
         assert serial.result_set.digest() == parallel.result_set.digest()
 
     def test_broken_campaign_reports_minimal_failing_seed(self):
-        spec = registry.get(campaign.EXPERIMENT_ID)
         sweep = run_sweep(
-            spec, seed=0, scale=0.06,
+            SPEC, seed=0, scale=0.06,
             overrides={"check.duration_ms": "2000", "check.broken": "1"},
             options=SweepOptions(jobs=1),
         )
@@ -121,10 +151,75 @@ class TestReplayFiles:
     def test_committed_example_plan_is_known_good(self):
         # The CI smoke contract: examples/campaign_plan.json must replay
         # with zero violations and a byte-stable digest.
-        payload = load_plan("examples/campaign_plan.json")
+        payload = load_plan(str(EXAMPLE_PLAN))
         row = replay(payload)
         assert row["violations"] == []
         assert row["digest_stable"]
+
+
+def _example_payload():
+    return json.loads(EXAMPLE_PLAN.read_text())
+
+
+def _without(key):
+    payload = _example_payload()
+    del payload[key]
+    return payload
+
+
+def _with_plan(**changes):
+    payload = _example_payload()
+    payload["plan"].update(changes)
+    return payload
+
+
+def _typo_section():
+    payload = _example_payload()
+    payload["plan"]["loss_window"] = payload["plan"].pop("loss_windows")
+    return payload
+
+
+class TestBadPlanFiles:
+    """A plan-v1 file that is not what write_plan produces fails to load
+    with a message naming the problem, never a traceback or a replay of
+    some other plan."""
+
+    @pytest.mark.parametrize("payload, message", [
+        (_without("duration_ms"), "has no duration_ms"),
+        (_without("plan"), "has no plan"),
+        ({**_example_payload(), "seed": "12"}, "seed must be a number"),
+        ({**_example_payload(), "broken": "no"}, "broken must be true or false"),
+        (_typo_section(), "unknown fault plan section.*'loss_window'"),
+        (_with_plan(spikes=[{"start_ms": 1.0, "duration_ms": 2.0, "factor": 3}]),
+         r"spikes\[0\]:.*'factor'"),
+        (_with_plan(replica_crashes=[{"dc_name": "ireland"}]),
+         r"replica_crashes\[0\]:.*at_ms"),
+        (_with_plan(partitions=[["us_west", 1.0, 2.0]]),
+         r"partitions\[0\]: expected an object"),
+        (["not", "a", "plan"], "not a campaign plan"),
+    ])
+    def test_load_plan_names_the_problem(self, tmp_path, payload, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_plan(str(path))
+
+    def test_cli_replay_reports_without_traceback(self, tmp_path):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(_typo_section()))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "replay", str(path)])
+        assert str(exit_info.value).startswith("check replay: ")
+        assert "loss_window" in str(exit_info.value)
+
+    def test_cli_predict_reports_without_traceback(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(_without("duration_ms")))
+        with pytest.raises(SystemExit, match="check predict: .*has no duration_ms"):
+            main(["check", "predict", str(path)])
+        path.write_text("[]")
+        with pytest.raises(SystemExit, match="check predict: .*unrecognised format"):
+            main(["check", "predict", str(path)])
 
 
 @pytest.mark.slow
@@ -132,16 +227,14 @@ class TestAcceptanceScale:
     """The PR's acceptance criteria, verbatim scale (minutes, not seconds)."""
 
     def test_unmodified_build_passes_200_schedules(self):
-        spec = registry.get(campaign.EXPERIMENT_ID)
         sweep = run_sweep(
-            spec, seed=0, scale=4.0, options=SweepOptions(jobs=2)
+            SPEC, seed=0, scale=4.0, options=SweepOptions(jobs=2)
         )
         assert sweep.result.all_checks_pass, sweep.result.data
 
     def test_broken_build_caught_within_50_schedules(self):
-        spec = registry.get(campaign.EXPERIMENT_ID)
         sweep = run_sweep(
-            spec, seed=0, scale=1.0, overrides={"check.broken": "1"},
+            SPEC, seed=0, scale=1.0, overrides={"check.broken": "1"},
             options=SweepOptions(jobs=2),
         )
         assert not sweep.result.all_checks_pass

@@ -10,7 +10,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import ALL_EXPERIMENTS
-from repro.experiments.common import ExperimentResult
+from repro.harness.spec import ExperimentResult
 from repro.net.topology import make_synthetic_topology
 from repro.paxos.ballot import fast_quorum
 

@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Cluster, ClusterConfig, PlanetSession, engine, obs
+from repro.check.history import HistoryRecorder
 from repro.core.session import PlanetConfig
 from repro.ops import ISOLATION_LEVELS
 
@@ -55,8 +56,9 @@ _ops = st.lists(
 def _run_workload(backend, seed, ops, record=False):
     """Drive one randomized workload; return its parity-relevant digests."""
     recorder = obs.FlightRecorder(capacity=200_000) if record else None
-    sinks = (recorder,) if record else ()
-    with obs.session(*sinks, history=True) as s:
+    history = HistoryRecorder()
+    sinks = (recorder, history) if record else (history,)
+    with obs.session(*sinks):
         cluster = Cluster(ClusterConfig(seed=seed, backend=backend))
         cluster.load({key: 0 for key in KEYS})
         sessions = {site: PlanetSession(cluster, site) for site in SITES}
@@ -70,7 +72,7 @@ def _run_workload(backend, seed, ops, record=False):
         "now": cluster.sim.now,
         "events": cluster.sim.events_processed,
         "outcomes": [(tx.committed, tx.abort_reason, tx.decided_at) for tx in outcomes],
-        "history": s.history.history().digest(),
+        "history": history.history().digest(),
         "obs": recorder.digest() if record else None,
     }
 
@@ -99,7 +101,8 @@ class TestWorkloadParity:
 
 def _run_isolation_workload(backend, level, seed=29):
     """A deliberately contended RMW workload under one isolation level."""
-    with obs.session(history=True) as s:
+    history = HistoryRecorder()
+    with obs.session(history):
         cluster = Cluster(ClusterConfig(seed=seed, backend=backend))
         cluster.load({key: 0 for key in KEYS})
         config = PlanetConfig(isolation=level)
@@ -125,7 +128,7 @@ def _run_isolation_workload(backend, level, seed=29):
         "now": cluster.sim.now,
         "events": cluster.sim.events_processed,
         "outcomes": [(tx.committed, tx.abort_reason, tx.decided_at) for tx in outcomes],
-        "history": s.history.history().digest(),
+        "history": history.history().digest(),
     }
 
 
@@ -169,7 +172,8 @@ class TestFullProtocolParity:
         from repro.experiments.f7_guess_vs_commit import SPEC
 
         recorder = obs.FlightRecorder(capacity=1_000_000)
-        with obs.session(recorder, history=True) as s:
+        history = HistoryRecorder()
+        with obs.session(recorder, history):
             result = SPEC.run(
                 seed=11, scale=0.05, overrides={"engine.backend": backend}
             )
@@ -178,7 +182,7 @@ class TestFullProtocolParity:
         return {
             "result": result.to_dict(),
             "obs": recorder.digest(),
-            "history": s.history.history().digest(),
+            "history": history.history().digest(),
         }
 
     def test_f7_byte_identical_digests(self):

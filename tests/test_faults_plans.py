@@ -64,6 +64,38 @@ class TestSerialisation:
         assert "crash replica singapore" in text
 
 
+class TestFromDictRejectsBadInput:
+    """A stored plan that to_dict could not have written is an error that
+    names the section and entry, not a different (often empty) plan."""
+
+    def test_typo_section_is_not_silently_dropped(self):
+        payload = full_plan().to_dict()
+        payload["loss_window"] = payload.pop("loss_windows")
+        with pytest.raises(ValueError, match="unknown .* section.*'loss_window'"):
+            FaultPlan.from_dict(payload)
+
+    @pytest.mark.parametrize("section, entry, message", [
+        ("spikes", {"start_ms": 1.0, "duration_ms": 2.0, "factor": 3.0}, "'factor'"),
+        ("coordinator_crashes", {"dc_name": "tokyo"}, "at_ms"),
+        ("loss_windows", {"start_ms": 0.0, "end_ms": 1.0, "rate": "high"},
+         r"\.rate: bad value 'high'"),
+        ("partitions", {"start_ms": 0.0, "end_ms": 1.0, "dc_name": None},
+         r"\.dc_name: bad value None"),
+        ("replica_crashes", ["singapore", 450.0], "expected an object"),
+    ])
+    def test_bad_entry_names_section_and_index(self, section, entry, message):
+        payload = full_plan().to_dict()
+        payload[section] = payload[section] + [entry]
+        index = len(payload[section]) - 1
+        with pytest.raises(ValueError, match=rf"{section}\[{index}\].*{message}"):
+            FaultPlan.from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [[], {"spikes": {}}, {"spikes": None}])
+    def test_wrong_shapes_rejected(self, payload):
+        with pytest.raises(ValueError):
+            FaultPlan.from_dict(payload)
+
+
 class TestChaosPlanBackCompat:
     # The chaos_plan draw sequence is frozen (documented in plans.py);
     # these pins would catch an accidental reordering of its rng draws.

@@ -16,6 +16,7 @@ behaviour at the default level: fix the change, not the pin.
 from __future__ import annotations
 
 from repro import obs
+from repro.check.history import HistoryRecorder
 from repro.ops import reset_txid_counter
 from repro.experiments.common import microbench_run
 
@@ -28,7 +29,8 @@ F7_SERIALIZABLE_DIGEST = (
 
 def test_f7_serializable_history_digest_is_pinned():
     reset_txid_counter()
-    with obs.session(history=True) as session:
+    recorder = HistoryRecorder()
+    with obs.session(recorder):
         microbench_run(
             seed=11,
             n_keys=5_000,
@@ -39,6 +41,6 @@ def test_f7_serializable_history_digest_is_pinned():
             timeout_ms=5_000.0,
             guess_threshold=0.95,
         )
-        history = session.history.history()
+        history = recorder.history()
     assert len(history) > 0
     assert history.digest() == F7_SERIALIZABLE_DIGEST

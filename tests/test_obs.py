@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro import obs
+from repro.check.history import HistoryRecorder
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
 from repro.obs.events import Tracer
@@ -70,7 +71,7 @@ class TestEventBus:
 
     def test_capture_binds_new_simulators_only_inside_block(self):
         sink = CollectingSink()
-        with obs.capture(sink):
+        with obs.session(sink):
             inside = Simulator(seed=0)
             assert inside.tracer.enabled
             inside.schedule(1.0, lambda: None)
@@ -81,7 +82,7 @@ class TestEventBus:
         assert not inside.tracer.enabled
 
     def test_nested_capture_rejected(self):
-        with obs.capture(CollectingSink()):
+        with obs.session(CollectingSink()):
             with pytest.raises(RuntimeError):
                 obs.install([CollectingSink()])
 
@@ -135,7 +136,7 @@ class TestFlightRecorder:
 
     def test_ring_buffer_eviction(self):
         recorder = FlightRecorder(capacity=10)
-        with obs.collect_metrics() as metrics:
+        with obs.session(metrics=True) as handle:
             self._fill(recorder, 25)
         assert len(recorder) == 10
         assert recorder.seen == 25
@@ -143,7 +144,7 @@ class TestFlightRecorder:
         # Oldest evicted: the retained window is the last ten events.
         assert [e.fields["i"] for e in recorder.events()] == list(range(15, 25))
         # The eviction count is also exposed through the metrics facade.
-        assert metrics.counter("obs.recorder_evictions") == 15
+        assert handle.metrics.counter("obs.recorder_evictions") == 15
 
     def test_eviction_mixes_events_and_spans(self):
         recorder = FlightRecorder(capacity=4)
@@ -183,7 +184,7 @@ class TestFlightRecorder:
 class TestChromeExport:
     def _recorded_run(self):
         recorder = FlightRecorder()
-        with obs.capture(recorder):
+        with obs.session(recorder):
             cluster = Cluster(ClusterConfig(seed=7, jitter_sigma=0.0))
             session = PlanetSession(cluster, "us_west")
             tx = session.transaction().write("x", 1).with_guess_threshold(0.9)
@@ -271,7 +272,7 @@ class TestProfiler:
 
     def test_profile_totals_match_duration(self):
         aggregator = SpanAggregator()
-        with obs.capture(aggregator):
+        with obs.session(aggregator):
             cluster = Cluster(ClusterConfig(seed=3, jitter_sigma=0.0))
             session = PlanetSession(cluster, "us_west")
             for i in range(5):
@@ -286,7 +287,7 @@ class TestProfiler:
 
     def test_render_profile_table(self):
         aggregator = SpanAggregator()
-        with obs.capture(aggregator):
+        with obs.session(aggregator):
             sim = Simulator(seed=0)
             sim.tracer.span(0.0, 5.0, "wal", "sync", track="w")
         (pid,) = aggregator.pids()
@@ -312,7 +313,7 @@ class TestReplayDeterminism:
         from repro.experiments.f6_commit_latency import SPEC
 
         recorder = FlightRecorder(capacity=500_000)
-        with obs.capture(recorder):
+        with obs.session(recorder):
             SPEC.run(seed=seed, scale=0.05)
         assert recorder.evicted == 0
         assert len(recorder) > 1000
@@ -328,7 +329,7 @@ class TestReplayDeterminism:
 
 
 class TestObsSession:
-    """obs.session unifies capture + metrics install + history recording."""
+    """obs.session installs sinks and a metrics registry, and removes both."""
 
     def _commit_one(self, seed=7):
         cluster = Cluster(ClusterConfig(seed=seed))
@@ -338,15 +339,16 @@ class TestObsSession:
         cluster.run()
 
     def test_installs_and_uninstalls_everything(self):
-        recorder = FlightRecorder()
-        with obs.session(recorder, metrics=True, history=True) as handle:
+        recorder, history = FlightRecorder(), HistoryRecorder()
+        with obs.session(recorder, history, metrics=True) as handle:
             assert obs.capture_active()
             assert obs.metrics_active()
             self._commit_one()
         assert not obs.capture_active()
         assert not obs.metrics_active()
+        assert handle.sinks == (recorder, history)
         assert handle.metrics.snapshot()["counters"]["sim.events"] > 0
-        assert len(handle.history.history().ops) > 0
+        assert len(history.history().ops) > 0
         assert len(recorder) > 0
 
     def test_metrics_accepts_existing_registry(self):
@@ -355,13 +357,6 @@ class TestObsSession:
             assert handle.metrics is registry
             self._commit_one()
         assert registry.snapshot()["counters"]["sim.events"] > 0
-
-    def test_history_category_force_included(self):
-        # DEFAULT_CATEGORIES contains "history" already; a narrowed set
-        # must still reach the recorder.
-        with obs.session(categories={"paxos"}, history=True) as handle:
-            self._commit_one()
-        assert len(handle.history.history().ops) > 0
 
     def test_empty_session_rejected(self):
         with pytest.raises(ValueError, match="install nothing"):
@@ -372,7 +367,10 @@ class TestObsSession:
         via_session = FlightRecorder()
         with obs.session(via_session):
             self._commit_one()
-        via_capture = FlightRecorder()
-        with obs.capture(via_capture):
+        via_install = FlightRecorder()
+        obs.install([via_install], categories=obs.DEFAULT_CATEGORIES)
+        try:
             self._commit_one()
-        assert via_session.digest() == via_capture.digest()
+        finally:
+            obs.uninstall()
+        assert via_session.digest() == via_install.digest()

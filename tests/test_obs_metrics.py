@@ -12,12 +12,13 @@ import pytest
 from repro import obs
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
+from repro.experiments.f6_commit_latency import SPEC as F6
 from repro.harness.parallel import SweepOptions, run_sweep
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry, ValueHist
 from repro.sim.kernel import Simulator
 
-from tests import sweep_fixture  # noqa: F401  (registers zz_sweep_fixture)
+from tests import sweep_fixture
 
 
 class TestValueHist:
@@ -126,27 +127,28 @@ class TestNoOpFastPath:
 
 
 class TestInstallDiscipline:
-    def test_collect_metrics_installs_and_uninstalls(self):
+    def test_session_metrics_installs_and_uninstalls(self):
         assert not obs.metrics_active()
-        with obs.collect_metrics() as registry:
+        with obs.session(metrics=True) as handle:
             assert obs.metrics_active()
-            assert obs.current_metrics() is registry
+            assert obs.current_metrics() is handle.metrics
         assert not obs.metrics_active()
         assert obs.current_metrics() is NULL_METRICS
 
     def test_nested_install_rejected(self):
-        with obs.collect_metrics():
+        with obs.session(metrics=True):
             with pytest.raises(RuntimeError):
                 obs_metrics.install(MetricsRegistry())
 
     def test_uninstall_after_error_in_block(self):
         with pytest.raises(ValueError):
-            with obs.collect_metrics():
+            with obs.session(metrics=True):
                 raise ValueError("boom")
         assert not obs.metrics_active()
 
     def test_simulator_binds_installed_registry_at_construction(self):
-        with obs.collect_metrics() as registry:
+        registry = MetricsRegistry()
+        with obs.session(metrics=registry):
             inside = Simulator(seed=0)
             assert inside.metrics is registry
             inside.schedule(1.0, lambda: None)
@@ -159,15 +161,16 @@ class TestInstallDiscipline:
 
     def test_explicit_registry_is_reused(self):
         registry = MetricsRegistry()
-        with obs.collect_metrics(registry) as yielded:
-            assert yielded is registry
+        with obs.session(metrics=registry) as handle:
+            assert handle.metrics is registry
 
 
 class TestInstrumentedRun:
     @pytest.fixture(scope="class")
     def collected(self):
         """One tiny end-to-end MDCC run with a collection installed."""
-        with obs.collect_metrics() as registry:
+        registry = MetricsRegistry()
+        with obs.session(metrics=registry):
             cluster = Cluster(ClusterConfig(seed=7, engine="mdcc", jitter_sigma=0.0))
             session = PlanetSession(cluster, "us_east")
             for _ in range(5):
@@ -205,9 +208,10 @@ class TestInstrumentedRun:
         assert collected.hist("planet.commit_latency_ms", dc="us_east").count == 5
 
     def test_sweep_executor_counters(self):
-        with obs.collect_metrics() as registry:
+        registry = MetricsRegistry()
+        with obs.session(metrics=registry):
             run_sweep(
-                "zz_sweep_fixture", seed=0,
+                sweep_fixture.SPEC, seed=0,
                 options=SweepOptions(jobs=1, cache=None),
             )
         assert registry.counter("sweep.points", experiment="zz_sweep_fixture") == 4
@@ -220,19 +224,11 @@ class TestDigestByteIdentity:
 
     def _traced(self, with_metrics: bool):
         recorder = obs.FlightRecorder(capacity=2_000_000)
-        if with_metrics:
-            with obs.collect_metrics():
-                with obs.capture(recorder):
-                    sweep = run_sweep(
-                        "f6_commit_latency", seed=0, scale=0.05,
-                        options=SweepOptions(jobs=1, cache=None),
-                    )
-        else:
-            with obs.capture(recorder):
-                sweep = run_sweep(
-                    "f6_commit_latency", seed=0, scale=0.05,
-                    options=SweepOptions(jobs=1, cache=None),
-                )
+        with obs.session(recorder, metrics=with_metrics):
+            sweep = run_sweep(
+                F6, seed=0, scale=0.05,
+                options=SweepOptions(jobs=1, cache=None),
+            )
         return sweep.result_set.digest(), recorder.digest()
 
     def test_digests_identical_with_and_without_registry(self):

@@ -8,11 +8,12 @@ import json
 import pytest
 
 from repro.cluster import ClusterConfig
+from repro.config import ConfigOverrideError, parse_override_args
 from repro.core.admission import AdmissionPolicy
 from repro.core.likelihood import LikelihoodConfig
 from repro.core.session import PlanetConfig
-from repro.experiments.common import active_overrides, current_overrides, planet_with_overrides
-from repro.harness.overrides import ConfigOverrideError, parse_override_args
+from repro.experiments.common import planet_with_overrides
+from repro.harness.spec import active_overrides, current_overrides
 
 
 class TestParseOverrideArgs:

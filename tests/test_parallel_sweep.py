@@ -7,12 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.experiments.registry import (
-    ExperimentSpec,
-    GridPoint,
-    PointContext,
-    derive_seed,
-)
+from repro.experiments import registry
 from repro.harness.cache import ResultCache, point_cache_key
 from repro.harness.parallel import (
     SweepError,
@@ -20,6 +15,7 @@ from repro.harness.parallel import (
     SweepPointError,
     run_sweep,
 )
+from repro.harness.spec import ExperimentSpec, GridPoint, PointContext, derive_seed
 
 from tests import sweep_fixture
 
@@ -41,7 +37,7 @@ class TestSerialParallelEquivalence:
     def test_fixture_recorder_digests_identical(self):
         def traced(jobs):
             recorder = obs.FlightRecorder()
-            with obs.capture(recorder):
+            with obs.session(recorder):
                 sweep = _sweep(jobs=jobs)
             return sweep.result_set.digest(), recorder.digest(), len(recorder.records())
 
@@ -56,9 +52,9 @@ class TestSerialParallelEquivalence:
 
         def traced(jobs):
             recorder = obs.FlightRecorder(capacity=2_000_000)
-            with obs.capture(recorder):
+            with obs.session(recorder):
                 sweep = run_sweep(
-                    "f6_commit_latency", seed=0, scale=0.05,
+                    registry.get("f6_commit_latency"), seed=0, scale=0.05,
                     options=SweepOptions(jobs=jobs),
                 )
             return sweep.result_set.digest(), recorder.digest(), len(recorder.records())
@@ -74,9 +70,9 @@ class TestSerialParallelEquivalence:
 
         def traced(jobs):
             recorder = obs.FlightRecorder(capacity=2_000_000)
-            with obs.capture(recorder):
+            with obs.session(recorder):
                 sweep = run_sweep(
-                    "f9_threshold_sweep", seed=0, scale=0.05,
+                    registry.get("f9_threshold_sweep"), seed=0, scale=0.05,
                     options=SweepOptions(jobs=jobs),
                 )
             return sweep, recorder
@@ -99,16 +95,11 @@ class TestSerialParallelEquivalence:
         )
         assert sweep.result.all_checks_pass
 
-    def test_string_and_prefix_spec_resolution(self):
-        by_name = run_sweep("zz_sweep_fixture", seed=0)
-        by_prefix = run_sweep("zz_sweep_f", seed=0)
-        assert by_name.result_set.digest() == by_prefix.result_set.digest()
-
 
 class TestSweepObservability:
     def test_lifecycle_events_bracket_each_point(self):
         recorder = obs.FlightRecorder()
-        with obs.capture(recorder):
+        with obs.session(recorder):
             _sweep(jobs=1)
         sweep_events = [
             record for record in recorder.records()
@@ -121,7 +112,7 @@ class TestSweepObservability:
 
     def test_progress_category_not_captured_by_default(self):
         recorder = obs.FlightRecorder()
-        with obs.capture(recorder):
+        with obs.session(recorder):
             _sweep(jobs=2)
         assert "progress" not in recorder.categories()
 
@@ -141,9 +132,9 @@ class TestSweepObservability:
     def test_perf_kernel_throughput_with_collection(self):
         """With a metrics collection installed, the perf report carries the
         kernel totals: events/sec and the simulated/wall ratio."""
-        with obs.collect_metrics():
+        with obs.session(metrics=True):
             sweep = run_sweep(
-                "f6_commit_latency", seed=0, scale=0.05,
+                registry.get("f6_commit_latency"), seed=0, scale=0.05,
                 options=SweepOptions(jobs=1),
             )
         assert sweep.perf.kernel_events > 0
@@ -152,9 +143,9 @@ class TestSweepObservability:
         assert "events/s" in sweep.perf.summary_line()
 
     def test_worker_utilization_gauge_in_parallel_mode(self):
-        with obs.collect_metrics() as metrics:
+        with obs.session(metrics=True) as handle:
             _sweep(jobs=2)
-        utilization = metrics.gauge(
+        utilization = handle.metrics.gauge(
             "sweep.worker_utilization", experiment="zz_sweep_fixture"
         )
         assert utilization is not None
@@ -167,19 +158,19 @@ class TestSweepObservability:
         monkeypatch.setenv(sweep_fixture.SLOW_S_VAR, "1.5")
         recorder = obs.FlightRecorder()
         lines = []
-        with obs.collect_metrics() as metrics:
-            with obs.capture(recorder, categories={"progress"}):
-                sweep = run_sweep(
-                    sweep_fixture.CHAOS_SPEC, seed=0,
-                    options=SweepOptions(
-                        jobs=2, straggler_factor=3.0, straggler_min_s=0.3,
-                        progress=lines.append,
-                    ),
-                )
+        with obs.session(recorder, categories={"progress"}, metrics=True) as handle:
+            sweep = run_sweep(
+                sweep_fixture.CHAOS_SPEC, seed=0,
+                options=SweepOptions(
+                    jobs=2, straggler_factor=3.0, straggler_min_s=0.3,
+                    progress=lines.append,
+                ),
+            )
         assert sweep.result.all_checks_pass
         stragglers = [e for e in recorder.events() if e.name == "straggler"]
         assert [e.fields["key"] for e in stragglers] == ["p=1"]
         assert stragglers[0].fields["wall_s"] > 0.3
+        metrics = handle.metrics
         assert metrics.counter("sweep.stragglers", experiment="zz_sweep_chaos") == 1
         assert any("straggling" in line for line in lines)
 
@@ -266,7 +257,7 @@ class TestResultCache:
     def test_capture_bypasses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         recorder = obs.FlightRecorder()
-        with obs.capture(recorder):
+        with obs.session(recorder):
             traced = _sweep(jobs=1, options={"cache": cache})
         assert cache.lookups == 0
         assert (traced.cache_hits, traced.cache_misses) == (0, 0)

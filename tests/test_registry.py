@@ -8,14 +8,8 @@ import importlib
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS, registry
-from repro.experiments.common import ExperimentResult
-from repro.experiments.registry import (
-    AmbiguousExperimentError,
-    ExperimentSpec,
-    GridPoint,
-    UnknownExperimentError,
-    derive_seed,
-)
+from repro.experiments.registry import AmbiguousExperimentError, UnknownExperimentError
+from repro.harness.spec import ExperimentResult, ExperimentSpec, GridPoint, derive_seed
 
 import tests.sweep_fixture as fixture
 
