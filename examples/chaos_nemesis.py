@@ -1,9 +1,10 @@
 """Run the stack through a random fault storm and audit the aftermath.
 
-Draws a seeded chaos plan (latency spikes, single-DC partitions, a
-coordinator crash), runs a mixed workload through it with recovery and
-anti-entropy armed, and then verifies the safety battery — the simulated
-equivalent of a Jepsen run.
+Draws a seeded fault plan (latency spikes, single-DC partitions, message
+loss, at most one coordinator or replica crash), runs a mixed workload
+through it with recovery and anti-entropy armed, and then verifies the
+safety battery on every live replica — the simulated equivalent of a
+Jepsen run.  Crashes are fail-stop: a crashed replica is left out.
 
 Run with:  python examples/chaos_nemesis.py [seed]
 """
@@ -12,7 +13,7 @@ import sys
 
 from repro import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
-from repro.faults import chaos_plan
+from repro.faults import campaign_plan
 
 DURATION_MS = 8_000.0
 
@@ -26,7 +27,7 @@ def main(seed: int = 4) -> None:
         )
     )
     cluster.load({"stock": 200})
-    plan = chaos_plan(cluster.datacenter_names, DURATION_MS, seed=seed, intensity=2.0)
+    plan = campaign_plan(cluster.datacenter_names, DURATION_MS, seed=seed, intensity=2.0)
     plan.apply(cluster)
     print(f"nemesis plan (seed {seed}): {plan.describe()}")
     print()
@@ -52,7 +53,8 @@ def main(seed: int = 4) -> None:
 
     # Safety battery ----------------------------------------------------
     problems = []
-    for node in cluster.storage_nodes.values():
+    live = [node for node in cluster.storage_nodes.values() if not node.crashed]
+    for node in live:
         for key in node.store.keys():
             if node.store.record(key).pending:
                 problems.append(f"pending option left at {node.node_id}/{key}")
@@ -62,11 +64,11 @@ def main(seed: int = 4) -> None:
             for key in node.store.keys()
             if node.store.record(key).committed_version > 0
         ))
-        for node in cluster.storage_nodes.values()
+        for node in live
     }
     if len(states) != 1:
         problems.append("replicas diverged")
-    stock_values = {node.store.get("stock").value for node in cluster.storage_nodes.values()}
+    stock_values = {node.store.get("stock").value for node in live}
     if len(stock_values) != 1 or min(stock_values) < 0:
         problems.append(f"stock inconsistent/negative: {stock_values}")
 

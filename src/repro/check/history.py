@@ -20,7 +20,6 @@ though the process-global txid counter differs between them.
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
@@ -155,24 +154,48 @@ class History:
         return hasher.hexdigest()
 
 
-def write_history(path: str, history: History) -> None:
-    """Serialise ``history`` as a tagged JSON file (stable key order)."""
-    payload = {"format": HISTORY_FORMAT, **history.to_dict()}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+#: The fields a stored operation may carry, the JSON types each may have,
+#: and which of them it must carry (see :meth:`HistoryOp.to_dict`).
+_OP_FIELDS = {
+    "time_ms": (int, float), "kind": (str,), "txid": (str,),
+    "session": (str,), "fields": (dict,),
+}
+_REQUIRED_OP_FIELDS = ("time_ms", "kind", "txid")
+#: Payload fields the checker and the predictor read as integers.
+_INT_PAYLOAD_FIELDS = ("version", "read_version", "accepts", "quorum")
 
 
-def load_history(path: str) -> History:
-    """Load a history file written by :func:`write_history`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != HISTORY_FORMAT:
+def check_history_file(payload: Any, source: str) -> Dict[str, Any]:
+    """``payload`` if it is a ``repro.check/history-v1`` document
+    (``{"format": ..., "ops": [...]}``) :meth:`History.to_dict` could write.
+
+    Otherwise a :class:`ValueError` prefixed with ``source`` names the
+    offending ``ops[i]``, so a bad file never predicts as some other history.
+    """
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != HISTORY_FORMAT:
         raise ValueError(
-            f"{path}: not a history file "
-            f"(format {payload.get('format')!r}, expected {HISTORY_FORMAT!r})"
+            f"{source}: not a history file (format {found!r}, expected {HISTORY_FORMAT!r})"
         )
-    return History.from_dict(payload)
+    ops = payload.get("ops")
+    if not isinstance(ops, list):
+        raise ValueError(f"{source}: ops must be a list, got {ops!r}")
+    for index, op in enumerate(ops):
+        where = f"{source}: ops[{index}]"
+        if not isinstance(op, dict):
+            raise ValueError(f"{where}: expected an object, got {op!r}")
+        for name, types in _OP_FIELDS.items():
+            if name not in op:
+                if name in _REQUIRED_OP_FIELDS:
+                    raise ValueError(f"{where}: no {name}")
+                continue
+            if isinstance(op[name], bool) or not isinstance(op[name], types):
+                raise ValueError(f"{where}.{name}: bad value {op[name]!r}")
+        for name in _INT_PAYLOAD_FIELDS:
+            value = op.get("fields", {}).get(name, 0)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{where}.fields.{name}: bad value {value!r}")
+    return payload
 
 
 class HistoryRecorder(Sink):

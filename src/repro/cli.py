@@ -239,7 +239,7 @@ def cmd_check_predict(args: argparse.Namespace) -> int:
     import json as json_module
 
     from repro.check import campaign
-    from repro.check.history import HISTORY_FORMAT, History
+    from repro.check.history import HISTORY_FORMAT, History, check_history_file
     from repro.check.predict import predict_report
 
     try:
@@ -252,6 +252,10 @@ def cmd_check_predict(args: argparse.Namespace) -> int:
     if fmt == HISTORY_FORMAT:
         # A stored history: predict it twice to prove the analysis itself
         # is deterministic (same witnesses, same order).
+        try:
+            check_history_file(payload, args.path)
+        except ValueError as exc:
+            raise SystemExit(f"check predict: {exc}") from exc
         history = History.from_dict(payload)
         first = predict_report(history)
         second = predict_report(history)

@@ -129,7 +129,7 @@ class PlanetSession:
     def submit(self, tx: PlanetTransaction) -> PlanetTransaction:
         """Run the transaction; callbacks fire as the simulation advances."""
         tx.waiter = Waiter()
-        self.metrics.increment("submitted")
+        self.metrics.inc("submitted")
         gm = self.sim.metrics
         if gm.enabled:
             gm.inc("planet.submitted", dc=self.dc_name)
@@ -176,7 +176,7 @@ class PlanetSession:
         if decision.action is AdmissionAction.DELAY:
             # Hold the transaction back; hot records cool as their in-flight
             # writers decide, so the prior improves on the next attempt.
-            self.metrics.increment("delayed_admission")
+            self.metrics.inc("delayed_admission")
             gm = self.sim.metrics
             if gm.enabled:
                 gm.inc("planet.admission_delays", dc=self.dc_name)
@@ -289,7 +289,7 @@ class PlanetSession:
         tx.decision = Decision(
             txid=tx.txid, outcome=Outcome.ABORTED, reason=AbortReason.ADMISSION, decided_at=now
         )
-        self.metrics.increment("rejected_admission")
+        self.metrics.inc("rejected_admission")
         gm = self.sim.metrics
         if gm.enabled:
             gm.inc("planet.admission_rejections", dc=self.dc_name)
@@ -308,29 +308,29 @@ class PlanetSession:
         metrics = self.metrics
         gm = self.sim.metrics
         if tx.committed:
-            metrics.increment("committed")
+            metrics.inc("committed")
             if gm.enabled:
                 gm.inc("planet.committed", dc=self.dc_name)
             latency = tx.commit_latency_ms()
             if latency is not None:
-                metrics.observe_latency("commit_latency_ms", latency)
+                metrics.observe("commit_latency_ms", latency)
                 if gm.enabled:
                     gm.observe("planet.commit_latency_ms", latency, dc=self.dc_name)
         else:
-            metrics.increment("aborted")
-            metrics.increment(f"aborted_{tx.abort_reason.value}")
+            metrics.inc("aborted")
+            metrics.inc(f"aborted_{tx.abort_reason.value}")
             if gm.enabled:
                 reason = tx.abort_reason.value if tx.abort_reason is not None else "unknown"
                 gm.inc("planet.aborted", dc=self.dc_name, reason=reason)
         if tx.was_guessed:
-            metrics.increment("guessed")
+            metrics.inc("guessed")
             if gm.enabled:
                 gm.inc("planet.guesses", dc=self.dc_name)
             guess_latency = tx.guess_latency_ms()
             if guess_latency is not None:
-                metrics.observe_latency("guess_latency_ms", guess_latency)
+                metrics.observe("guess_latency_ms", guess_latency)
             if not tx.committed:
-                metrics.increment("wrong_guesses")
+                metrics.inc("wrong_guesses")
                 if gm.enabled:
                     # Each wrong guess owes the application an apology
                     # (the paper's "guesses, apologies" contract).

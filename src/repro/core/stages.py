@@ -66,7 +66,3 @@ def check_transition(current: TxStage, new: TxStage) -> None:
     """Raise :class:`InvalidTransition` unless ``current -> new`` is legal."""
     if new not in _ALLOWED[current]:
         raise InvalidTransition(f"illegal stage transition {current.value} -> {new.value}")
-
-
-def allowed_from(stage: TxStage) -> FrozenSet[TxStage]:
-    return _ALLOWED[stage]

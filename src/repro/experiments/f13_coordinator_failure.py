@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
-from repro.experiments.common import scaled
+from repro.experiments.common import planet_with_overrides, scaled
 from repro.experiments.registry import single_point_spec
 from repro.harness.report import Table
 from repro.harness.spec import ExperimentResult, ShapeCheck, register
@@ -36,7 +36,10 @@ def _run_arm(seed: int, duration: float, crash_at: float, option_ttl_ms):
         n_writes=1,
         timeout_ms=2_000.0,
     )
-    sessions = {dc: PlanetSession(cluster, dc) for dc in cluster.datacenter_names}
+    planet = planet_with_overrides(None)
+    sessions = {
+        dc: PlanetSession(cluster, dc, config=planet) for dc in cluster.datacenter_names
+    }
     clients = [
         OpenLoopClient(
             sessions[dc],

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.common import scaled
+from repro.experiments.common import planet_with_overrides, scaled
 from repro.harness.report import Table
 from repro.harness.spec import (
     ExperimentResult,
@@ -86,13 +86,11 @@ def run_iso_point(
         plan.apply(cluster)
 
     recorder = HistoryRecorder().attach(cluster.sim)
+    planet = planet_with_overrides(
+        PlanetConfig(isolation=isolation, default_guess_threshold=0.85)
+    )
     sessions = {
-        dc: PlanetSession(
-            cluster,
-            dc,
-            config=PlanetConfig(isolation=isolation, default_guess_threshold=0.85),
-        )
-        for dc in cluster.datacenter_names
+        dc: PlanetSession(cluster, dc, config=planet) for dc in cluster.datacenter_names
     }
 
     rng = cluster.sim.rng.stream("iso-matrix-load")

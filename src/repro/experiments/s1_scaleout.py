@@ -14,7 +14,7 @@ from typing import Any, Dict, List
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
-from repro.experiments.common import scaled
+from repro.experiments.common import planet_with_overrides, scaled
 from repro.harness.report import Table
 from repro.harness.spec import (
     ExperimentResult,
@@ -50,7 +50,9 @@ def _run_point(params: Dict[str, Any], ctx: PointContext) -> Dict[str, Any]:
         timeout_ms=5_000.0,
         guess_threshold=0.95,
     )
-    session = PlanetSession(cluster, topology.datacenters[0].name)
+    session = PlanetSession(
+        cluster, topology.datacenters[0].name, config=planet_with_overrides(None)
+    )
     OpenLoopClient(
         session,
         lambda s, rng: build_microbench_tx(s, spec, rng),

@@ -20,7 +20,7 @@ from typing import Any, Dict, List
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
-from repro.experiments.common import scaled
+from repro.experiments.common import planet_with_overrides, scaled
 from repro.harness.report import Table
 from repro.harness.spec import (
     ExperimentResult,
@@ -59,7 +59,10 @@ def _run_point(params: Dict[str, Any], ctx: PointContext) -> Dict[str, Any]:
         n_writes=2,
         timeout_ms=1_500.0,
     )
-    sessions = [PlanetSession(cluster, dc) for dc in cluster.datacenter_names]
+    planet = planet_with_overrides(None)
+    sessions = [
+        PlanetSession(cluster, dc, config=planet) for dc in cluster.datacenter_names
+    ]
     for session in sessions:
         OpenLoopClient(
             session,

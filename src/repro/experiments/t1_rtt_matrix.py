@@ -15,7 +15,7 @@ from repro.harness.spec import ExperimentResult, ShapeCheck, register
 from repro.net.latency import LatencyModel
 from repro.net.topology import EC2_FIVE_DC
 from repro.sim.rng import RngRegistry
-from repro.stats.quantiles import QuantileSketch
+from repro.stats.histogram import LatencyCdf
 
 
 def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
@@ -36,12 +36,12 @@ def _run(seed: int = 0, scale: float = 1.0) -> ExperimentResult:
             if src.index == dst.index:
                 cells.append("-")
                 continue
-            sketch = QuantileSketch()
+            rtts = LatencyCdf()
             for _ in range(n_samples):
                 out = latency.sample_ms(src, dst, now=0.0, rng=rng)
                 back = latency.sample_ms(dst, src, now=0.0, rng=rng)
-                sketch.update(out + back)
-            measured = sketch.quantile(0.5)
+                rtts.update(out + back)
+            measured = rtts.percentile(50)
             configured = topology.rtt_ms(src, dst)
             worst_relative_error = max(
                 worst_relative_error, abs(measured - configured) / configured

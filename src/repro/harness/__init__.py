@@ -2,14 +2,13 @@
 
 from repro.harness.config import RunConfig, WorkloadConfig
 from repro.harness.results import RunResult
-from repro.harness.runner import Runner, run_experiment
+from repro.harness.runner import run_experiment
 from repro.harness.report import Table, format_float
 
 __all__ = [
     "RunConfig",
     "WorkloadConfig",
     "RunResult",
-    "Runner",
     "run_experiment",
     "Table",
     "format_float",

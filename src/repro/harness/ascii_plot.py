@@ -1,4 +1,4 @@
-"""ASCII line/CDF plots for experiment output.
+"""ASCII CDF plots for experiment output.
 
 The paper's latency figures are CDF curves; rendering them as text keeps
 the reproduction's artefacts self-contained (no plotting dependencies) and
@@ -15,7 +15,7 @@ shared log-ish x axis::
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.stats.histogram import LatencyCdf
 
@@ -70,35 +70,4 @@ def render_cdfs(
         f"{MARKERS[i % len(MARKERS)]} {name}" for i, (name, _) in enumerate(named)
     )
     lines.append("      " + legend)
-    return "\n".join(lines)
-
-
-def render_series(
-    points: Sequence[Tuple[float, float]],
-    width: int = 64,
-    height: int = 12,
-    y_label: str = "",
-) -> str:
-    """Plot one (x, y) series as ASCII — used for sweep figures."""
-    if not points:
-        return "(no points)"
-    xs = [x for x, _ in points]
-    ys = [y for _, y in points]
-    x_min, x_max = min(xs), max(xs)
-    y_min, y_max = min(ys), max(ys)
-    if x_max <= x_min:
-        x_max = x_min + 1.0
-    if y_max <= y_min:
-        y_max = y_min + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in points:
-        col = min(width - 1, int((x - x_min) / (x_max - x_min) * (width - 1)))
-        row = min(height - 1, int((1.0 - (y - y_min) / (y_max - y_min)) * (height - 1)))
-        grid[row][col] = "#"
-    lines = [f"{y_max:10.2f} |" + "".join(grid[0])]
-    for cells in grid[1:-1]:
-        lines.append(" " * 10 + " |" + "".join(cells))
-    lines.append(f"{y_min:10.2f} |" + "".join(grid[-1]))
-    lines.append(" " * 11 + "+" + "-" * width)
-    lines.append(" " * 12 + f"{x_min:g} .. {x_max:g}  {y_label}")
     return "\n".join(lines)

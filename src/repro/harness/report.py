@@ -1,4 +1,4 @@
-"""ASCII tables and series, the output format of every experiment driver.
+"""ASCII tables, the output format of every experiment driver.
 
 Each driver prints the same rows/series the corresponding paper figure or
 table contains; these helpers keep that output aligned and consistent.
@@ -7,7 +7,7 @@ table contains; these helpers keep that output aligned and consistent.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 def format_float(value: float, digits: int = 2) -> str:
@@ -53,11 +53,3 @@ class Table:
     def print(self) -> None:
         print(self.render())
         print()
-
-
-def format_series(name: str, points: Iterable[tuple], x_label: str = "x", y_label: str = "y") -> str:
-    """A labelled (x, y) series as aligned text."""
-    lines = [f"{name}  [{x_label} -> {y_label}]"]
-    for x, y in points:
-        lines.append(f"  {format_float(float(x), 3):>12}  {format_float(float(y), 3):>12}")
-    return "\n".join(lines)

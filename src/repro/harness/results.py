@@ -122,21 +122,6 @@ class RunResult:
                 cdf.update(latency)
         return cdf
 
-    def response_latency_cdf(self) -> LatencyCdf:
-        """Application response time: guess when one fired, else decision.
-
-        This is the latency an interactive user experiences under the PLANET
-        programming model.
-        """
-        cdf = LatencyCdf()
-        for tx in self.transactions:
-            latency = tx.guess_latency_ms()
-            if latency is None:
-                latency = tx.commit_latency_ms()
-            if latency is not None:
-                cdf.update(latency)
-        return cdf
-
     # ------------------------------------------------------------------
     # Speculation quality
     # ------------------------------------------------------------------
@@ -165,17 +150,6 @@ class RunResult:
             if tx.committed and tx.commit_latency_ms() is not None
         ]
         return sum(gaps) / len(gaps) if gaps else math.nan
-
-    def commit_latency_ci(self, p: float = 50.0, confidence: float = 0.95):
-        """Bootstrap CI of the p-th commit-latency percentile."""
-        from repro.stats.bootstrap import percentile_ci
-
-        samples = [
-            tx.commit_latency_ms()
-            for tx in self.committed()
-            if tx.commit_latency_ms() is not None
-        ]
-        return percentile_ci(samples, p, confidence=confidence)
 
     # ------------------------------------------------------------------
     # Prediction calibration

@@ -102,20 +102,6 @@ class LatencyModel:
                     base = base * window.multiplier + window.extra_ms
         return max(base, self.min_latency_ms)
 
-    def quantile_ms(self, src: Datacenter, dst: Datacenter, q: float) -> float:
-        """Analytic ``q``-quantile of the undisturbed one-way latency.
-
-        Used by the commit-likelihood predictor to reason about how long an
-        outstanding response should take without having to sample.
-        """
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must be in (0, 1)")
-        base = self.topology.one_way_ms(src, dst)
-        if self.jitter_sigma == 0:
-            return max(base, self.min_latency_ms)
-        z = _norm_ppf(q)
-        return max(base * math.exp(self._jitter_mu + self.jitter_sigma * z), self.min_latency_ms)
-
     def mean_ms(self, src: Datacenter, dst: Datacenter) -> float:
         """Mean undisturbed one-way latency (the jitter is mean-one)."""
         return max(self.topology.one_way_ms(src, dst), self.min_latency_ms)

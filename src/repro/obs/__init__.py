@@ -57,11 +57,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import (
-    NULL_METRICS,
-    MetricsRegistry,
-    ValueHist,
-)
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.obs.metrics import active as metrics_active
 from repro.obs.metrics import current as current_metrics
 from repro.obs.profile import ProfileReport, SpanAggregator, render_profile
@@ -82,7 +78,6 @@ __all__ = [
     "SpanAggregator",
     "TraceEvent",
     "Tracer",
-    "ValueHist",
     "capture_active",
     "chrome_trace",
     "current_metrics",

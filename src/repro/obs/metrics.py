@@ -28,67 +28,17 @@ counts of simulated events); the registry itself never reads a wall
 clock — harness self-observability lives in
 :mod:`repro.harness.perf` instead.
 
-This module imports only :mod:`repro.stats.quantiles` (the shared
-percentile interpolation; ``repro.stats`` itself imports nothing from the
-rest of ``repro``), so any layer can use it without cycles.
+Histograms are :class:`repro.stats.histogram.LatencyCdf`, the one
+exact-sample distribution type; this module imports nothing else from
+``repro``, so any layer can use it without cycles.
 """
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.stats.quantiles import interpolated_quantile
-
-
-class ValueHist:
-    """A histogram of observed values (full-sample; simulation-sized runs).
-
-    API-compatible with :class:`repro.stats.histogram.LatencyCdf` —
-    ``update``/``extend``/``count``/``percentile``/``mean`` — plus a
-    JSON-safe :meth:`summary`.
-    """
-
-    __slots__ = ("_samples",)
-
-    def __init__(self) -> None:
-        self._samples: List[float] = []
-
-    def update(self, value: float) -> None:
-        self._samples.append(value)
-
-    def extend(self, values) -> None:
-        self._samples.extend(values)
-
-    @property
-    def count(self) -> int:
-        return len(self._samples)
-
-    def percentile(self, p: float) -> float:
-        return interpolated_quantile(sorted(self._samples), p / 100.0)
-
-    def mean(self) -> float:
-        if not self._samples:
-            return math.nan
-        return sum(self._samples) / len(self._samples)
-
-    def max(self) -> float:
-        return max(self._samples) if self._samples else math.nan
-
-    def sum(self) -> float:
-        return sum(self._samples)
-
-    def summary(self) -> Dict[str, float]:
-        """JSON-safe digest of the distribution (the snapshot shape)."""
-        return {
-            "count": self.count,
-            "mean": self.mean(),
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "max": self.max(),
-        }
+from repro.stats.histogram import LatencyCdf
 
 
 def _render(name: str, labels: Dict[str, Any]) -> str:
@@ -109,11 +59,10 @@ def _render(name: str, labels: Dict[str, Any]) -> str:
 class MetricsRegistry:
     """Counters, gauges, and labelled histograms for one collection scope.
 
-    The per-run API (``increment``/``observe_latency``/``record_point``)
-    serves experiment runners, which build one registry per run, and the
-    labelled facade (:meth:`inc`/:meth:`set_gauge`/:meth:`max_gauge`/
-    :meth:`observe`) is what the system-wide instrumentation uses
-    through :func:`install`.
+    One write API (:meth:`inc`/:meth:`set_gauge`/:meth:`max_gauge`/
+    :meth:`observe`) serves both the per-run registries experiment
+    runners build and the system-wide instrumentation installed through
+    :func:`install`.
     """
 
     #: Class attribute so the guard ``if metrics.enabled:`` is a plain
@@ -123,8 +72,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, float] = defaultdict(int)
         self._gauges: Dict[str, float] = {}
-        self._hists: Dict[str, ValueHist] = {}
-        self._series: Dict[str, List[Tuple[float, float]]] = defaultdict(list)
+        self._hists: Dict[str, LatencyCdf] = {}
         self._tracer = None
         self._clock: Callable[[], float] = lambda: 0.0
 
@@ -147,10 +95,6 @@ class MetricsRegistry:
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(self._clock(), "metric", key, delta=amount)
-
-    def increment(self, name: str, amount: int = 1) -> None:
-        """Legacy unlabelled spelling of :meth:`inc`."""
-        self.inc(name, amount)
 
     def counter(self, name: str, **labels: Any) -> float:
         return self._counters.get(_render(name, labels), 0)
@@ -194,35 +138,21 @@ class MetricsRegistry:
         key = _render(name, labels) if labels else name
         hist = self._hists.get(key)
         if hist is None:
-            hist = self._hists[key] = ValueHist()
+            hist = self._hists[key] = LatencyCdf()
         hist.update(value)
         tracer = self._tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(self._clock(), "metric", key, value_ms=value)
 
-    def hist(self, name: str, **labels: Any) -> ValueHist:
+    def hist(self, name: str, **labels: Any) -> LatencyCdf:
         key = _render(name, labels)
         hist = self._hists.get(key)
         if hist is None:
-            hist = self._hists[key] = ValueHist()
+            hist = self._hists[key] = LatencyCdf()
         return hist
-
-    # Legacy latency-collector spellings -------------------------------
-    def latency(self, name: str) -> ValueHist:
-        return self.hist(name)
-
-    def observe_latency(self, name: str, value_ms: float) -> None:
-        self.observe(name, value_ms)
 
     def latency_names(self) -> List[str]:
         return sorted(self._hists)
-
-    # -- Time/value series (legacy) -------------------------------------
-    def record_point(self, name: str, x: float, y: float) -> None:
-        self._series[name].append((x, y))
-
-    def series(self, name: str) -> List[Tuple[float, float]]:
-        return list(self._series.get(name, []))
 
     # -- Whole-registry views -------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -245,9 +175,6 @@ class MetricsRegistry:
                 f"{name}:n={hist.count},p50={hist.percentile(50):.6f},"
                 f"p99={hist.percentile(99):.6f}"
             )
-        for name in sorted(self._series):
-            points = ";".join(f"{x:.6f},{y:.6f}" for x, y in self._series[name])
-            parts.append(f"{name}:[{points}]")
         return "|".join(parts)
 
 
@@ -271,9 +198,6 @@ class NullMetrics(MetricsRegistry):
         pass
 
     def observe(self, name: str, value: float, **labels: Any) -> None:
-        pass
-
-    def record_point(self, name: str, x: float, y: float) -> None:
         pass
 
 

@@ -10,7 +10,7 @@ benchmarks reproducible from Python (see DESIGN.md).
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process, sleep
+from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
-__all__ = ["Event", "EventQueue", "Simulator", "Process", "sleep", "RngRegistry"]
+__all__ = ["Event", "EventQueue", "Simulator", "Process", "RngRegistry"]

@@ -15,11 +15,6 @@ from typing import Any, Generator, Optional
 from repro.sim.kernel import Simulator
 
 
-def sleep(delay: float) -> float:
-    """Readable alias used inside process generators: ``yield sleep(5.0)``."""
-    return delay
-
-
 class Waiter:
     """One-shot rendezvous between a process and an external callback."""
 

@@ -9,25 +9,6 @@ spikes.
 from __future__ import annotations
 
 
-class EwmaEstimator:
-    """EWMA of a real-valued signal: ``estimate <- a*sample + (1-a)*estimate``."""
-
-    def __init__(self, alpha: float = 0.1, initial: float = 0.0) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.value = initial
-        self.count = 0
-
-    def update(self, sample: float) -> float:
-        if self.count == 0:
-            self.value = sample
-        else:
-            self.value = self.alpha * sample + (1.0 - self.alpha) * self.value
-        self.count += 1
-        return self.value
-
-
 class EwmaRate:
     """EWMA estimate of the probability of a binary event.
 

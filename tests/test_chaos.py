@@ -4,22 +4,32 @@ The simulated equivalent of a Jepsen run: a seeded nemesis injects latency
 spikes, single-DC partitions and a coordinator crash while a mixed workload
 runs; afterwards the safety battery must hold — replica convergence, no
 orphaned protocol state, escrow floors, and no lost counter updates.
+
+The battery runs twice.  :func:`~repro.faults.chaos_plan` is the frozen
+nemesis it has always passed on.  :func:`~repro.faults.campaign_plan` adds
+message loss and replica crashes; crashes are fail-stop, so there the
+battery checks live replicas only.  Two of its seeds trip known protocol
+bugs (docs/protocol.md §5): they are strict xfails, and
+:func:`test_known_protocol_holes_are_exact` pins everything else about them.
 """
 
 from __future__ import annotations
+
+from typing import Any, Dict
 
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
-from repro.faults import CoordinatorCrash, FaultPlan, chaos_plan
+from repro.faults import CoordinatorCrash, FaultPlan, campaign_plan, chaos_plan
 from repro.net.partitions import PartitionWindow
 from repro.workload.spikes import Spike
 
 DURATION_MS = 6_000.0
+SEEDS = [1, 2, 3, 5, 8, 13, 21, 34]
 
 
-def run_chaos(seed: int):
+def run_chaos(seed: int, nemesis):
     cluster = Cluster(
         ClusterConfig(
             seed=seed,
@@ -29,9 +39,7 @@ def run_chaos(seed: int):
         )
     )
     cluster.load({"counter": 0})
-    plan = chaos_plan(
-        cluster.datacenter_names, DURATION_MS, seed=seed, intensity=1.5
-    )
+    plan = nemesis(cluster.datacenter_names, DURATION_MS, seed=seed, intensity=1.5)
     plan.apply(cluster)
     crashed = {crash.dc_name for crash in plan.coordinator_crashes}
 
@@ -56,55 +64,133 @@ def run_chaos(seed: int):
     return cluster, plan, crashed, txs
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", [1, 2, 3, 5, 8, 13, 21, 34])
-def test_safety_battery_under_chaos(seed):
-    cluster, plan, crashed, txs = run_chaos(seed)
-
-    # 1. No protocol residue: pending options all terminated.
-    for node in cluster.storage_nodes.values():
-        for key in node.store.keys():
-            assert node.store.record(key).pending == {}, (
-                f"seed {seed}, plan [{plan.describe()}]: pending at "
-                f"{node.node_id}/{key}"
-            )
-    # 2. Replica convergence on committed state.
-    states = []
-    for node in cluster.storage_nodes.values():
-        states.append(tuple(sorted(
-            (key, node.store.record(key).latest.value)
+def audit(seed: int, nemesis) -> Dict[str, Any]:
+    """Run one chaos schedule; what the safety battery checks, on live replicas."""
+    cluster, plan, crashed, txs = run_chaos(seed, nemesis)
+    live = [node for node in cluster.storage_nodes.values() if not node.crashed]
+    committed = [
+        {
+            key: node.store.record(key).latest.value
             for key in node.store.keys()
             if node.store.record(key).committed_version > 0
-        )))
-    assert all(state == states[0] for state in states[1:]), (
-        f"seed {seed}, plan [{plan.describe()}]: replicas diverged"
-    )
-    # 3. Counter integrity: value equals committed deltas exactly.
-    committed_deltas = sum(
+        }
+        for node in live
+    ]
+    absent = object()
+    # Recovery may complete a crashed coordinator's counter transactions
+    # whose clients never heard the outcome; those are legitimate applied
+    # deltas, so the client-visible sum pins the value only when no
+    # coordinator crashed.
+    committed_deltas = None if crashed else sum(
         tx.writes[0].delta
         for _, tx in txs
         if tx.committed and tx.writes and hasattr(tx.writes[0], "delta")
         and tx.writes[0].key == "counter"
     )
-    counter_values = {
-        node.store.get("counter").value for node in cluster.storage_nodes.values()
+    return {
+        "plan": plan.describe(),
+        "down": sorted(node.node_id for node in cluster.storage_nodes.values() if node.crashed),
+        # (node, key, how many options) still pending after the run.
+        "pending": sorted(
+            (node.node_id, key, len(node.store.record(key).pending))
+            for node in live
+            for key in node.store.keys()
+            if node.store.record(key).pending
+        ),
+        # Keys whose committed value differs between live replicas.
+        "diverged": sorted(
+            key
+            for key in set().union(*committed)
+            if any(state.get(key, absent) != committed[0].get(key, absent) for state in committed)
+        ),
+        "counter": sorted({node.store.get("counter").value for node in live}),
+        "committed_deltas": committed_deltas,
+        # Healthy-coordinator transactions that never decided.
+        "undecided": [
+            tx.txid for dc, tx in txs if dc not in crashed and tx.decision is None
+        ],
     }
-    assert len(counter_values) == 1
-    observed = counter_values.pop()
-    # Recovery may complete a crashed coordinator's counter transactions
-    # whose clients never heard the outcome; those are legitimate applied
-    # deltas, so the client-visible sum bounds the value from one side only
-    # when a crash happened.
-    if not crashed:
-        assert observed == committed_deltas, (
-            f"seed {seed}: counter {observed} != committed deltas {committed_deltas}"
+
+
+def assert_safe(seed: int, result: Dict[str, Any]) -> None:
+    where = f"seed {seed}, plan [{result['plan']}]"
+    # 1. No protocol residue: pending options all terminated.
+    assert result["pending"] == [], f"{where}: pending {result['pending']}"
+    # 2. Replica convergence on committed state.
+    assert result["diverged"] == [], f"{where}: replicas diverged on {result['diverged']}"
+    # 3. Counter integrity: value equals committed deltas exactly.
+    assert len(result["counter"]) == 1, f"{where}: counter values {result['counter']}"
+    if result["committed_deltas"] is not None:
+        assert result["counter"] == [result["committed_deltas"]], (
+            f"{where}: counter {result['counter']} != committed deltas "
+            f"{result['committed_deltas']}"
         )
     # 4. Every healthy-coordinator transaction decided.
-    for dc, tx in txs:
-        if dc not in crashed:
-            assert tx.decision is not None, (
-                f"seed {seed}, plan [{plan.describe()}]: undecided tx at {dc}"
-            )
+    assert result["undecided"] == [], f"{where}: undecided {result['undecided']}"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", SEEDS)
+def test_safety_battery_under_chaos(seed):
+    result = audit(seed, chaos_plan)
+    assert result["down"] == []  # so the battery saw every replica
+    assert_safe(seed, result)
+
+
+#: Seeds whose ``campaign_plan`` trips a known protocol bug, with everything
+#: the battery sees on them.  Fixing a bug turns its xfail into a strict
+#: XPASS and breaks the pin: delete both with the bug.
+KNOWN_HOLES = {
+    # A partition cut us_east off just as its coordinator committed a write,
+    # so only us_east's own replica applied the decision, and then it
+    # crashed.  The client heard COMMITTED, yet the live replicas keep the
+    # option pending forever: status queries go to peers, never to the
+    # coordinator.
+    5: ("committed write left pending", {
+        "down": ["store:us_east"],
+        "pending": [
+            ("store:ireland", "k27", 1),
+            ("store:tokyo", "k27", 1),
+            ("store:us_west", "k27", 1),
+        ],
+        "diverged": [],
+        "counter": [38],
+        "committed_deltas": 38,
+        "undecided": [],
+    }),
+    # Anti-entropy ships counter versions by number.  A replica that caught
+    # up on a delta through a peer's version applies it again when the late
+    # decision lands, so live replicas end on different counters at equal
+    # versions, neither of them the committed sum.
+    21: ("counter delta re-applied after anti-entropy", {
+        "down": [],
+        "pending": [],
+        "diverged": ["counter"],
+        "counter": [31, 34],
+        "committed_deltas": 32,
+        "undecided": [],
+    }),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [
+    pytest.param(
+        seed,
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=KNOWN_HOLES[seed][0]),
+    ) if seed in KNOWN_HOLES else seed
+    for seed in SEEDS
+])
+def test_safety_battery_on_campaign_plan(seed):
+    assert_safe(seed, audit(seed, campaign_plan))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", sorted(KNOWN_HOLES))
+def test_known_protocol_holes_are_exact(seed):
+    result = audit(seed, campaign_plan)
+    del result["plan"]
+    assert result == KNOWN_HOLES[seed][1]
 
 
 class TestFaultPlan:

@@ -1,8 +1,21 @@
-"""Unit tests for history capture: HistoryOp/History, digests, recorder."""
+"""Unit tests for history capture: HistoryOp/History, digests, recorder,
+and reading history files."""
 
 from __future__ import annotations
 
-from repro.check.history import History, HistoryOp, HistoryRecorder
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.check.history import (
+    HISTORY_FORMAT,
+    History,
+    HistoryOp,
+    HistoryRecorder,
+    check_history_file,
+)
+from repro.cli import main
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
 from repro.obs.events import TraceEvent
@@ -38,6 +51,75 @@ class TestSerialisation:
         assert [op.txid for op in history.by_kind("begin")] == ["tx-1", "tx-2"]
         assert history.txids() == ["tx-1", "tx-2"]
         assert history.sessions() == ["a/s0", "b/s0"]
+
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+EXAMPLE_HISTORY = EXAMPLES / "lost_update_rc.history.json"
+
+
+def _file(tmp_path, payload) -> str:
+    path = tmp_path / "history.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _with_op(**fields):
+    op = {"time_ms": 1.0, "kind": "begin", "txid": "tx-1", **fields}
+    return {"format": HISTORY_FORMAT, "ops": [op]}
+
+
+class TestHistoryFiles:
+    """A history file that History.to_dict could not have written is
+    refused with a message naming the op, never a traceback or a
+    prediction over some other history."""
+
+    def test_round_trip_through_a_file(self, tmp_path):
+        history = History([
+            _op(1.0, "begin", "tx-1", session="a/s0", wkeys="x"),
+            _op(2.0, "read", "tx-1", session="a/s0", key="x", version=3),
+            _op(3.0, "commit", "tx-1", session="a/s0"),
+        ])
+        path = _file(tmp_path, {"format": HISTORY_FORMAT, **history.to_dict()})
+        payload = check_history_file(json.loads(Path(path).read_text()), path)
+        assert History.from_dict(payload).ops == history.ops
+
+    def test_committed_example_passes(self):
+        payload = json.loads(EXAMPLE_HISTORY.read_text())
+        assert len(check_history_file(payload, str(EXAMPLE_HISTORY))["ops"]) == 10
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"format": HISTORY_FORMAT}, "ops must be a list, got None"),
+        ({"format": HISTORY_FORMAT, "ops": 5}, "ops must be a list, got 5"),
+        ({"format": HISTORY_FORMAT, "ops": [["begin"]]}, r"ops\[0\]: expected an object"),
+        ({"format": HISTORY_FORMAT, "ops": [{"kind": "begin", "txid": "tx-1"}]},
+         r"ops\[0\]: no time_ms"),
+        (_with_op(time_ms="1.0"), r"ops\[0\]\.time_ms: bad value '1.0'"),
+        (_with_op(time_ms=True), r"ops\[0\]\.time_ms: bad value True"),
+        (_with_op(kind=3), r"ops\[0\]\.kind: bad value 3"),
+        (_with_op(txid=None), r"ops\[0\]\.txid: bad value None"),
+        (_with_op(session=7), r"ops\[0\]\.session: bad value 7"),
+        (_with_op(fields=[1]), r"ops\[0\]\.fields: bad value \[1\]"),
+        (_with_op(fields={"version": "x"}), r"ops\[0\]\.fields\.version: bad value 'x'"),
+        (_with_op(fields={"read_version": None}),
+         r"ops\[0\]\.fields\.read_version: bad value None"),
+        (_with_op(fields={"accepts": 2.5}), r"ops\[0\]\.fields\.accepts: bad value 2\.5"),
+        (_with_op(fields={"quorum": True}), r"ops\[0\]\.fields\.quorum: bad value True"),
+        ({"format": "repro.check/plan-v1", "ops": []}, "not a history file"),
+    ])
+    def test_check_history_names_the_problem(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            check_history_file(payload, "history.json")
+
+    @pytest.mark.parametrize("payload", [
+        {"format": HISTORY_FORMAT},
+        {"format": HISTORY_FORMAT, "ops": 5},
+        {"format": HISTORY_FORMAT, "ops": [{"kind": "begin", "txid": "tx-1"}]},
+        _with_op(kind="read", fields={"key": "x", "version": None}),
+        _with_op(kind="write", fields={"key": "x", "kind": "w", "read_version": "x"}),
+    ])
+    def test_cli_predict_reports_without_traceback(self, tmp_path, payload):
+        with pytest.raises(SystemExit, match=r"^check predict: .*ops"):
+            main(["check", "predict", _file(tmp_path, payload)])
 
 
 class TestDigest:

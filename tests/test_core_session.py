@@ -68,7 +68,7 @@ class TestHappyPath:
         assert session.metrics.counter("submitted") == 1
         assert session.metrics.counter("committed") == 1
         assert session.metrics.counter("guessed") == 1
-        assert session.metrics.latency("commit_latency_ms").count == 1
+        assert session.metrics.hist("commit_latency_ms").count == 1
 
     def test_default_timeout_and_threshold_applied(self, mdcc_cluster):
         config = PlanetConfig(default_guess_threshold=0.8, default_timeout_ms=900.0)

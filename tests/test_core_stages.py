@@ -5,7 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import InvalidTransition
-from repro.core.stages import TxStage, allowed_from, check_transition
+from repro.core.stages import TxStage, check_transition
+
+
+def _targets(stage: TxStage) -> set:
+    """The stages ``check_transition`` lets ``stage`` move to."""
+    legal = set()
+    for target in TxStage:
+        try:
+            check_transition(stage, target)
+        except InvalidTransition:
+            continue
+        legal.add(target)
+    return legal
 
 
 class TestTransitions:
@@ -48,11 +60,11 @@ class TestTransitions:
     def test_terminal_stages(self):
         for stage in (TxStage.COMMITTED, TxStage.ABORTED, TxStage.REJECTED):
             assert stage.terminal
-            assert allowed_from(stage) == frozenset()
+            assert _targets(stage) == set()
         for stage in (TxStage.CREATED, TxStage.READING, TxStage.PENDING, TxStage.GUESSED):
             assert not stage.terminal
-            assert allowed_from(stage)
+            assert _targets(stage)
 
     def test_every_stage_has_rules(self):
         for stage in TxStage:
-            allowed_from(stage)  # must not KeyError
+            _targets(stage)  # must not KeyError

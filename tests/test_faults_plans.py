@@ -145,6 +145,21 @@ class TestCampaignPlan:
             for crash in plan.coordinator_crashes + plan.replica_crashes:
                 assert 0.0 < crash.at_ms < duration
 
+    def test_pinned_draw_for_seed_3(self):
+        # Stored campaign plans, the chaos battery and the benchmark's
+        # faults_checked workload all replay this draw sequence; the pin
+        # catches an accidental reordering of its rng draws.
+        plan = campaign_plan(["a", "b", "c"], 1_000.0, seed=3)
+        assert plan.describe() == (
+            "spike x5.66378 @ 515ms for 30ms; partition a @ 538-562ms; "
+            "loss 50% b @ 282-333ms; crash replica b @ 475ms"
+        )
+
+    def test_intensity_zero_never_crashes(self):
+        for seed in range(50):
+            plan = campaign_plan(["a"], 1_000.0, seed=seed, intensity=0.0)
+            assert not plan.coordinator_crashes and not plan.replica_crashes
+
     def test_validation(self):
         with pytest.raises(ValueError):
             campaign_plan(["a"], 0.0)

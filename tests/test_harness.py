@@ -9,7 +9,7 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.core.session import PlanetConfig
 from repro.harness.config import RunConfig, WorkloadConfig
-from repro.harness.report import Table, format_float, format_series
+from repro.harness.report import Table, format_float
 from repro.harness.runner import run_experiment
 from repro.workload.keys import UniformChooser
 from repro.workload.microbench import MicrobenchSpec, build_microbench_tx
@@ -121,11 +121,6 @@ class TestRunResult:
         assert commit_cdf.count == len(result.committed())
         assert commit_cdf.percentile(50) > 100.0  # wide-area commit
 
-    def test_response_latency_prefers_guess(self, result):
-        response = result.response_latency_cdf()
-        commit = result.commit_latency_cdf()
-        assert response.percentile(50) < commit.percentile(50)
-
     def test_guess_accounting(self, result):
         guessed = result.guessed()
         assert math.isclose(
@@ -172,8 +167,3 @@ class TestReport:
         assert format_float(float("nan")) == "-"
         assert format_float(None) == "-"
         assert format_float(1.5, 1) == "1.5"
-
-    def test_format_series(self):
-        text = format_series("s", [(1, 2), (3, 4)], "x", "y")
-        assert "s" in text and "x -> y" in text
-        assert "1.000" in text

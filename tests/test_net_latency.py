@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from random import Random
 
 import pytest
@@ -49,29 +48,6 @@ class TestSampling:
 
 
 class TestQuantiles:
-    def test_quantile_matches_empirical(self, dcs):
-        src, dst = dcs
-        model = LatencyModel(EC2_FIVE_DC, jitter_sigma=0.25)
-        rng = Random(3)
-        samples = sorted(model.sample_ms(src, dst, 0.0, rng) for _ in range(50_000))
-        for q in (0.1, 0.5, 0.9, 0.99):
-            analytic = model.quantile_ms(src, dst, q)
-            empirical = samples[int(q * len(samples))]
-            assert abs(analytic - empirical) / empirical < 0.05
-
-    def test_quantile_bounds(self, dcs):
-        src, dst = dcs
-        model = LatencyModel(EC2_FIVE_DC)
-        with pytest.raises(ValueError):
-            model.quantile_ms(src, dst, 0.0)
-        with pytest.raises(ValueError):
-            model.quantile_ms(src, dst, 1.0)
-
-    def test_zero_sigma_quantile_is_base(self, dcs):
-        src, dst = dcs
-        model = LatencyModel(EC2_FIVE_DC, jitter_sigma=0.0)
-        assert model.quantile_ms(src, dst, 0.99) == 37.5
-
     def test_mean_ms(self, dcs):
         src, dst = dcs
         model = LatencyModel(EC2_FIVE_DC, jitter_sigma=0.2)

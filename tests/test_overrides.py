@@ -4,16 +4,19 @@ with_overrides, the --set parser, and the driver-side override plumbing."""
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
 from repro.cluster import ClusterConfig
 from repro.config import ConfigOverrideError, parse_override_args
+from repro.core import session as session_module
 from repro.core.admission import AdmissionPolicy
 from repro.core.likelihood import LikelihoodConfig
 from repro.core.session import PlanetConfig
+from repro.experiments import registry
 from repro.experiments.common import planet_with_overrides
-from repro.harness.spec import active_overrides, current_overrides
+from repro.harness.spec import PointContext, active_overrides, current_overrides
 
 
 class TestParseOverrideArgs:
@@ -143,3 +146,29 @@ class TestDriverPlumbing:
             with active_overrides({"admission_threshold": "0.9"}):
                 assert planet_with_overrides(None).admission_threshold == 0.9
             assert planet_with_overrides(None).admission_threshold == 0.5
+
+
+class _SessionBuilt(Exception):
+    """Raised by the PlanetSession spy: the config was seen, stop the run."""
+
+
+@pytest.mark.parametrize("experiment_id", [
+    "s1_scaleout", "s3_message_loss", "f13_coordinator_failure", "iso_matrix",
+])
+def test_drivers_building_their_own_sessions_apply_set(experiment_id, monkeypatch):
+    """`--set` reaches drivers that construct PlanetSession themselves
+    rather than through microbench_run/run_experiment."""
+    seen = []
+
+    def spy(cluster, dc_name, config=None, **kwargs):
+        seen.append(config)
+        raise _SessionBuilt
+
+    spec = registry.get(experiment_id)
+    monkeypatch.setattr(session_module, "PlanetSession", spy)
+    monkeypatch.setattr(sys.modules[spec.module], "PlanetSession", spy, raising=False)
+    point = spec.grid(0.05)[0]
+    overrides = {"admission_threshold": "0.37"}
+    with active_overrides(overrides), pytest.raises(_SessionBuilt):
+        spec.run_point(point.params, PointContext(seed=0, scale=0.05, overrides=overrides))
+    assert seen[0] is not None and seen[0].admission_threshold == 0.37

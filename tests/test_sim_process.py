@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.process import Process, Waiter, sleep
+from repro.sim.process import Process, Waiter
 
 
 class TestProcessDelays:
@@ -19,17 +19,6 @@ class TestProcessDelays:
         Process(sim, body())
         sim.run()
         assert trace == [("start", 0.0), ("after", 10.0)]
-
-    def test_sleep_alias(self, sim):
-        trace = []
-
-        def body():
-            yield sleep(5.0)
-            trace.append(sim.now)
-
-        Process(sim, body())
-        sim.run()
-        assert trace == [5.0]
 
     def test_multiple_processes_interleave(self, sim):
         trace = []

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.core.session import PlanetSession
-from repro.harness.ascii_plot import render_cdfs, render_series
+from repro.harness.ascii_plot import render_cdfs
 from repro.stats.histogram import LatencyCdf
 from repro.trace import build_timeline, render_latency_bar, render_timeline
 
@@ -106,17 +106,3 @@ class TestAsciiCdfPlot:
         rows = [line for line in plot.splitlines() if "#" in line and "*" in line]
         assert rows
         assert rows[0].index("#") < rows[0].index("*")
-
-
-class TestAsciiSeriesPlot:
-    def test_plots_points(self):
-        plot = render_series([(1, 10), (2, 20), (3, 15)], y_label="tps")
-        assert "#" in plot
-        assert "tps" in plot
-
-    def test_empty(self):
-        assert render_series([]) == "(no points)"
-
-    def test_degenerate_single_point(self):
-        plot = render_series([(5, 5)])
-        assert "#" in plot
