@@ -132,6 +132,10 @@ class History:
         digest, regardless of process history or worker placement.
         """
         renames: Dict[str, str] = {}
+        # Each distinct text is canonicalised once.  Exact: after the first
+        # pass every counter id in the text has its ordinal, so a later
+        # pass over the same text could only produce the same string.
+        canonical: Dict[str, str] = {}
 
         def canon_id(match: "re.Match[str]") -> str:
             token = match.group(0)
@@ -143,14 +147,20 @@ class History:
 
         def canon(value: Any) -> str:
             text = f"{value:.6f}" if isinstance(value, float) else str(value)
-            return _COUNTER_ID.sub(canon_id, text)
+            if "-" not in text:  # every counter id has a hyphen
+                return text
+            result = canonical.get(text)
+            if result is None:
+                result = canonical[text] = _COUNTER_ID.sub(canon_id, text)
+            return result
 
         hasher = hashlib.sha256()
         for op in self.ops:
+            fields = op.fields
             parts = [canon(op.time_ms), op.kind, canon(op.txid), canon(op.session)]
-            parts.extend(f"{key}={canon(op.fields[key])}" for key in sorted(op.fields))
-            hasher.update("|".join(parts).encode("utf-8"))
-            hasher.update(b"\n")
+            for key in sorted(fields):
+                parts.append(f"{key}={canon(fields[key])}")
+            hasher.update(("|".join(parts) + "\n").encode("utf-8"))
         return hasher.hexdigest()
 
 

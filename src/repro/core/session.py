@@ -134,7 +134,7 @@ class PlanetSession:
         if gm.enabled:
             gm.inc("planet.submitted", dc=self.dc_name)
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if "history" in tracer.live:
             # ``wkeys`` is the declared write set (comma-joined, sorted).
             # The checker needs it for transactions that never reach a
             # decision record — their writes may have installed invisibly
@@ -164,7 +164,7 @@ class PlanetSession:
         prior = self._prior_likelihood(tx)
         decision = self.admission.decide(prior, previous_delays=previous_delays)
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if "admission" in tracer.live:
             tracer.emit(
                 self.sim.now, "admission", decision.action.value,
                 txid=tx.txid, prior=prior, policy=decision.policy.value,
@@ -294,7 +294,7 @@ class PlanetSession:
         if gm.enabled:
             gm.inc("planet.admission_rejections", dc=self.dc_name)
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if "history" in tracer.live:
             tracer.emit(
                 now, "history", "abort",
                 txid=tx.txid, session=self.session_id,

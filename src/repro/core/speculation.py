@@ -38,7 +38,7 @@ class SpeculationManager(TxEvents):
     # ------------------------------------------------------------------
     def note_stage(self, stage: TxStage, now: float) -> None:
         tracer = self.session.sim.tracer
-        if not tracer.enabled:
+        if "stage" not in tracer.live:
             return
         tracer.end(self._stage_span, now)
         self._stage_span = (
@@ -54,7 +54,7 @@ class SpeculationManager(TxEvents):
         self.tx.read_results.update(request.read_results)
         self.session.note_read_versions(request)
         tracer = self.session.sim.tracer
-        if tracer.enabled:
+        if "history" in tracer.live:
             # One client-visible read per key, with the version actually
             # served (engines without version tracking report -1; the
             # checker skips those).  Sorted for a deterministic stream.
@@ -107,10 +107,11 @@ class SpeculationManager(TxEvents):
             self.note_stage(TxStage.GUESSED, now)
             tx.predicted_at_guess = likelihood
             tracer = self.session.sim.tracer
-            if tracer.enabled:
+            if "stage" in tracer.live:
                 tracer.emit(
                     now, "stage", "guess", txid=tx.txid, likelihood=likelihood
                 )
+            if "history" in tracer.live:
                 tracer.emit(
                     now, "history", "guess",
                     txid=tx.txid,
@@ -130,7 +131,7 @@ class SpeculationManager(TxEvents):
             tx.transition(TxStage.ABORTED, now)
         self.note_stage(tx.stage, now)
         tracer = self.session.sim.tracer
-        if tracer.enabled:
+        if "history" in tracer.live:
             # History ordering contract: a committed transaction's writes
             # precede its commit record, and both precede anything a commit
             # callback does (session bookkeeping runs before callbacks, so

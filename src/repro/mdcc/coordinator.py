@@ -314,7 +314,7 @@ class MdccCoordinator(NetworkNode):
         if metrics.enabled:
             metrics.inc("mdcc.rounds", phase="prepare", path="classic")
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if "paxos" in tracer.live:
             tx.round_span = tracer.begin(
                 self.sim.now, "paxos", "prepare_round",
                 track=tx.request.txid, coordinator=self.node_id, keys=len(tx.options),
@@ -350,8 +350,9 @@ class MdccCoordinator(NetworkNode):
                 "mdcc.rounds", phase="accept", path="fast" if fast else "classic"
             )
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if tx.round_span is not None:
             tracer.end(tx.round_span, now)  # classic path: prepare round done
+        if "paxos" in tracer.live:
             tx.round_span = tracer.begin(
                 now, "paxos", "accept_round",
                 track=tx.request.txid, coordinator=self.node_id, keys=len(tx.options),
@@ -381,7 +382,7 @@ class MdccCoordinator(NetworkNode):
                 # A replica rejected the option: the record is contended.
                 metrics.inc("mdcc.option_conflicts")
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if "paxos" in tracer.live:
             tracer.emit(
                 self.sim.now, "paxos", "vote",
                 txid=msg.txid, key=msg.key, replica=msg.sender, accepted=msg.accepted,
@@ -445,13 +446,15 @@ class MdccCoordinator(NetworkNode):
         if metrics.enabled:
             metrics.inc("mdcc.decisions", outcome=outcome.value, reason=reason.value)
         tracer = self.sim.tracer
-        if tracer.enabled:
+        if tx.round_span is not None:
             tracer.end(tx.round_span, self.sim.now, outcome=outcome.value)
             tx.round_span = None
+        if "tx" in tracer.live:
             tracer.emit(
                 self.sim.now, "tx", "decision",
                 txid=tx.request.txid, outcome=outcome.value, reason=reason.value,
             )
+        if "history" in tracer.live:
             # Engine metadata for the checker's quorum-backing invariant:
             # the per-record vote tally the decision was based on.
             # Insertion order of ``trackers`` (write order) keeps the

@@ -467,26 +467,24 @@ class MdccReplica:
             peer = peers[self._ae_peer_index % len(peers)]
             self._ae_peer_index += 1
             digest = {
-                key: self.node.store.record(key).committed_version
-                for key in self.node.store.keys()
+                key: record.versions[-1].version
+                for key, record in self.node.store.items()
             }
             self.node.send(peer, protocol.SyncDigest(versions=digest))
         self._schedule_ae_tick()
 
     def _on_sync_digest(self, msg: protocol.SyncDigest) -> None:
         updates = {}
-        for key in self.node.store.keys():
-            record = self.node.store.record(key)
-            theirs = msg.versions.get(key, 0)
-            if record.committed_version <= theirs:
+        theirs_by_key = msg.versions
+        for key, record in self.node.store.items():
+            theirs = theirs_by_key.get(key, 0)
+            versions = record.versions
+            if versions[-1].version <= theirs:
                 continue
-            missing = [
-                (v.version, v.value, v.txid)
-                for v in record.versions
-                if v.version > theirs
-            ]
-            if missing:
-                updates[key] = tuple(missing)
+            # Non-empty: at least the latest version is past ``theirs``.
+            updates[key] = tuple(
+                (v.version, v.value, v.txid) for v in versions if v.version > theirs
+            )
         if updates:
             self.node.send(msg.sender, protocol.SyncUpdates(updates=updates))
 

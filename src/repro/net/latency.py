@@ -69,6 +69,7 @@ class LatencyModel:
         self.jitter_sigma = jitter_sigma
         self.min_latency_ms = min_latency_ms
         self._windows: List[DegradationWindow] = []
+        self._windows_until = -math.inf  # every window has closed by then
         # E[lognormal(mu, sigma)] = exp(mu + sigma^2/2); choose mu so mean == 1.
         self._jitter_mu = -0.5 * jitter_sigma * jitter_sigma
         # Base one-way latency per (src, dst) index pair.  The topology is
@@ -80,9 +81,11 @@ class LatencyModel:
     def add_window(self, window: DegradationWindow) -> None:
         """Register a degradation window (spike) for later simulated times."""
         self._windows.append(window)
+        self._windows_until = max(self._windows_until, window.end_ms)
 
     def clear_windows(self) -> None:
         self._windows.clear()
+        self._windows_until = -math.inf
 
     def active_windows(self, now: float, src: Datacenter, dst: Datacenter):
         return [w for w in self._windows if w.active(now) and w.matches(src, dst)]
@@ -96,7 +99,7 @@ class LatencyModel:
             base = self._base_one_way[key] = self.topology.one_way_ms(src, dst)
         if self.jitter_sigma > 0:
             base *= math.exp(rng.gauss(self._jitter_mu, self.jitter_sigma))
-        if self._windows:
+        if now < self._windows_until:
             for window in self._windows:
                 if window.active(now) and window.matches(src, dst):
                     base = base * window.multiplier + window.extra_ms

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from repro.net.latency import LatencyModel
@@ -64,6 +65,7 @@ class Network:
         self.loss_probability = loss_probability
         self.partitions = PartitionManager()
         self._loss_windows: list = []
+        self._loss_until = -math.inf  # every loss window has closed by then
         self._nodes: Dict[str, NetworkNode] = {}
         self._rng = sim.rng.stream("network")
         self.messages_sent = 0
@@ -90,6 +92,7 @@ class Network:
     def add_loss_window(self, window: LossWindow) -> None:
         """Schedule a timed burst of inter-DC message loss."""
         self._loss_windows.append(window)
+        self._loss_until = max(self._loss_until, window.end_ms)
 
     def node(self, node_id: str) -> NetworkNode:
         return self._nodes[node_id]
@@ -123,14 +126,14 @@ class Network:
             self.messages_dropped += 1
             if metrics.enabled:
                 metrics.inc("net.messages_dropped", cause="partition")
-            if tracer.enabled:
+            if "message" in tracer.live:
                 tracer.emit(
                     now, "message", "drop",
                     kind=message.kind, src=sender_id, dst=recipient_id, cause="partition",
                 )
             return
         loss = self.loss_probability
-        if self._loss_windows:
+        if now < self._loss_until:
             for window in self._loss_windows:
                 if window.rate > loss and window.applies(
                     now, sender.datacenter, recipient.datacenter
@@ -143,7 +146,7 @@ class Network:
             self.messages_dropped += 1
             if metrics.enabled:
                 metrics.inc("net.messages_dropped", cause="loss")
-            if tracer.enabled:
+            if "message" in tracer.live:
                 tracer.emit(
                     now, "message", "drop",
                     kind=message.kind, src=sender_id, dst=recipient_id, cause="loss",
@@ -153,7 +156,7 @@ class Network:
         delay = self.latency.sample_ms(
             sender.datacenter, recipient.datacenter, now, self._rng
         )
-        if tracer.enabled:
+        if "message" in tracer.live:
             tracer.emit(
                 now, "message", "send",
                 kind=message.kind, src=sender_id, dst=recipient_id, delay_ms=delay,
@@ -169,7 +172,7 @@ class Network:
             if metrics.enabled:
                 metrics.inc("net.messages_dropped", cause="gone")
             tracer = sim.tracer
-            if tracer.enabled:
+            if "message" in tracer.live:
                 tracer.emit(
                     sim.now, "message", "drop",
                     kind=message.kind, src=message.sender, dst=recipient_id, cause="gone",
@@ -182,7 +185,7 @@ class Network:
             metrics.inc("net.messages_delivered", kind=kind)
             metrics.observe("net.flight_ms", sim.now - message.sent_at, kind=kind)
         tracer = sim.tracer
-        if tracer.enabled:
+        if "message" in tracer.live:
             # One completed span per delivered message: its wide-area flight.
             tracer.span(
                 message.sent_at, sim.now, "message", message.kind,

@@ -6,11 +6,23 @@ Everything observable in a run flows through a per-simulator
 test probes) subscribe to a tracer; instrumented call sites in the kernel,
 network, engines, and storage emit through it.
 
-The design constraint is the **no-op fast path**: tracing is off by default
-and the instrumented hot paths (kernel dispatch, every message send) must
-pay only an attribute load and a branch.  Call sites therefore guard with
-``if tracer.enabled:`` before building any keyword arguments, and a
-disabled tracer's methods return immediately.
+The design constraint is the **no-op fast path**, per category: a capture
+costs only what some sink subscribed to.  ``Tracer.live`` is the union of
+the attached sinks' categories, and every call site guards on its *own*
+category before building any keyword arguments::
+
+    if "message" in tracer.live:
+        tracer.emit(now, "message", "send", ...)
+
+so with no sinks, or with sinks that want other categories, an
+instrumented hot path (kernel dispatch, every message send, every WAL
+append) pays an attribute load and a set lookup.  A history-only capture
+(``HistoryRecorder``) therefore runs the kernel's plain drain loop and
+builds no ``sim``/``message``/``wal``/``paxos`` records at all.  (Under
+the old all-or-nothing ``enabled`` flag one ``history`` sink switched
+every call site on, and the tracer then discarded all but the history
+records: on the benchmark's ``faults_checked`` that was 1.29M calls into
+``repro.obs`` per run for 58k recorded operations.)
 
 Global capture
 --------------
@@ -90,62 +102,63 @@ DEFAULT_CATEGORIES: FrozenSet[str] = frozenset(
     c for c in CATEGORIES if c not in ("sim", "progress")
 )
 
+_ALL: FrozenSet[str] = frozenset(CATEGORIES)
+
 
 class Tracer:
-    """Per-simulator event/span emitter with a cheap disabled path."""
+    """Per-simulator event/span emitter with a per-category gate.
 
-    __slots__ = ("enabled", "pid", "categories", "_sinks", "_stacks")
+    ``live`` is the union of the categories the attached sinks asked for
+    (empty with no sinks).  Call sites guard on their own category —
+    ``if "message" in tracer.live:`` — so a capture pays only for what some
+    sink subscribed to, and each event or span reaches only the sinks that
+    want its category.
+    """
+
+    __slots__ = ("live", "enabled", "pid", "_sinks", "_stacks")
 
     def __init__(self, pid: int = 0) -> None:
+        self.live: FrozenSet[str] = frozenset()
+        # ``bool(live)``, recomputed with it: the compiled kernel reads it
+        # per event and per send, so it stays a plain slot, not a property.
         self.enabled = False
         self.pid = pid
-        self.categories: Optional[FrozenSet[str]] = None  # None = all
-        self._sinks: List[Sink] = []
+        self._sinks: List[Tuple[Sink, FrozenSet[str]]] = []
         self._stacks = SpanStacks()
 
     # -- wiring --------------------------------------------------------
     def add_sink(self, sink: Sink, categories: Optional[Iterable[str]] = None) -> Sink:
-        """Attach ``sink`` and enable the tracer.
-
-        ``categories`` narrows what this *tracer* emits; with several sinks
-        the union of their category sets is used (None = everything).
-        """
-        self._sinks.append(sink)
-        if categories is None:
-            self.categories = None
-        elif self.categories is not None or not self.enabled:
-            combined = frozenset(categories)
-            if self.enabled and self.categories is not None:
-                combined |= self.categories
-            self.categories = combined
-        self.enabled = True
+        """Attach ``sink`` for ``categories`` (None = every category)."""
+        wanted = _ALL if categories is None else frozenset(categories)
+        self._sinks.append((sink, wanted))
+        self.live |= wanted
+        self.enabled = bool(self.live)
         return sink
 
     def remove_sink(self, sink: Sink) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-        if not self._sinks:
-            self.enabled = False
-            self.categories = None
-
-    def _wants(self, category: str) -> bool:
-        cats = self.categories
-        return cats is None or category in cats
+        for index, (attached, _) in enumerate(self._sinks):
+            if attached is sink:
+                del self._sinks[index]
+                break
+        self.live = frozenset().union(*(wanted for _, wanted in self._sinks))
+        self.enabled = bool(self.live)
 
     # -- instants ------------------------------------------------------
     def emit(self, time_ms: float, category: str, name: str, **fields: Any) -> None:
-        if not self.enabled or not self._wants(category):
+        if category not in self.live:
             return
         event = TraceEvent(time_ms, category, name, fields, self.pid)
-        for sink in self._sinks:
-            sink.on_event(event)
+        for sink, wanted in self._sinks:
+            if category in wanted:
+                sink.on_event(event)
 
     # -- spans ---------------------------------------------------------
     def begin(
         self, time_ms: float, category: str, name: str, track: str = "", **fields: Any
     ) -> Optional[Span]:
-        """Open a span; returns None when disabled (``end(None, …)`` is safe)."""
-        if not self.enabled or not self._wants(category):
+        """Open a span; returns None when ``category`` is not live
+        (``end(None, …)`` is safe)."""
+        if category not in self.live:
             return None
         span = Span(category, name, track, time_ms, fields=fields, pid=self.pid)
         span.depth = self._stacks.open(span)
@@ -158,8 +171,7 @@ class Tracer:
         if fields:
             span.fields.update(fields)
         self._stacks.close(span)
-        for sink in self._sinks:
-            sink.on_span(span)
+        self._deliver_span(span)
 
     def span(
         self,
@@ -171,11 +183,17 @@ class Tracer:
         **fields: Any,
     ) -> None:
         """Emit an already-complete span (e.g. a message flight, a WAL sync)."""
-        if not self.enabled or not self._wants(category):
+        if category not in self.live:
             return
-        span = Span(category, name, track, start_ms, end_ms, fields=fields, pid=self.pid)
-        for sink in self._sinks:
-            sink.on_span(span)
+        self._deliver_span(
+            Span(category, name, track, start_ms, end_ms, fields=fields, pid=self.pid)
+        )
+
+    def _deliver_span(self, span: Span) -> None:
+        category = span.category
+        for sink, wanted in self._sinks:
+            if category in wanted:
+                sink.on_span(span)
 
     def open_spans(self) -> List[Span]:
         """Spans begun but not yet ended (diagnostics / leak tests)."""

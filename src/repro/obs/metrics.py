@@ -93,7 +93,7 @@ class MetricsRegistry:
         key = _render(name, labels) if labels else name
         self._counters[key] += amount
         tracer = self._tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None and "metric" in tracer.live:
             tracer.emit(self._clock(), "metric", key, delta=amount)
 
     def counter(self, name: str, **labels: Any) -> float:
@@ -141,7 +141,7 @@ class MetricsRegistry:
             hist = self._hists[key] = LatencyCdf()
         hist.update(value)
         tracer = self._tracer
-        if tracer is not None and tracer.enabled:
+        if tracer is not None and "metric" in tracer.live:
             tracer.emit(self._clock(), "metric", key, value_ms=value)
 
     def hist(self, name: str, **labels: Any) -> LatencyCdf:

@@ -42,7 +42,7 @@ class BallotGenerator:
         if metrics.enabled:
             metrics.inc("paxos.ballots", kind="fast")
         tracer = self._tracer
-        if tracer.enabled:
+        if "paxos" in tracer.live:
             tracer.emit(
                 self._clock(), "paxos", "ballot",
                 proposer=self.proposer_id, fast=True, counter=FAST_BALLOT_COUNTER,
@@ -55,7 +55,7 @@ class BallotGenerator:
         if metrics.enabled:
             metrics.inc("paxos.ballots", kind="classic")
         tracer = self._tracer
-        if tracer.enabled:
+        if "paxos" in tracer.live:
             tracer.emit(
                 self._clock(), "paxos", "ballot",
                 proposer=self.proposer_id, fast=False, counter=self._counter,

@@ -272,7 +272,7 @@ def run_shard(
             }
         )
         tracer = cluster.sim.tracer
-        if tracer.enabled:
+        if "history" in tracer.live:
             tracer.emit(
                 cluster.sim.now, "history", "xshard_vote",
                 txid=tx.txid, session=session_id,

@@ -50,7 +50,7 @@ class CompiledSimulator(_ckernel.SimulatorBase):
             # depth the batched loop samples.
             metrics.max_gauge("sim.queue_depth", float(self._queue.heap_len))
         tracer: Tracer = self.tracer
-        if tracer.enabled:
+        if "sim" in tracer.live:
             fn = event.fn
             tracer.emit(
                 self.now, "sim", "dispatch",

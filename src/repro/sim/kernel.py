@@ -32,10 +32,11 @@ class Simulator:
         self.now: float = 0.0
         self.seed = seed
         self.rng = RngRegistry(seed)
-        # The per-simulator tracer (repro.obs).  Disabled — a single branch
-        # per instrumented call site — unless an obs capture is installed
-        # or a sink is attached directly; components read it at call time
-        # via their ``sim`` reference, so enabling is instant everywhere.
+        # The per-simulator tracer (repro.obs).  Each instrumented call site
+        # tests its own category against ``tracer.live`` — empty unless an
+        # obs capture is installed or a sink is attached directly;
+        # components read it at call time via their ``sim`` reference, so
+        # attaching a sink is instant everywhere.
         self.tracer: Tracer = new_tracer()
         # The metrics facade (repro.obs.metrics).  NULL_METRICS — one
         # attribute load and one branch per instrumented call site — unless
@@ -86,7 +87,7 @@ class Simulator:
             return False
         self.now = event.time
         self._events_processed += 1
-        if self.metrics.enabled or self.tracer.enabled:
+        if self.metrics.enabled or "sim" in self.tracer.live:
             self._observe_dispatch(event)
         event.fn(*event.args)
         return True
@@ -100,7 +101,7 @@ class Simulator:
             # depth the batched loop samples.
             metrics.max_gauge("sim.queue_depth", float(len(self._queue._heap)))
         tracer = self.tracer
-        if tracer.enabled:
+        if "sim" in tracer.live:
             fn = event.fn
             tracer.emit(
                 self.now, "sim", "dispatch",
@@ -134,7 +135,9 @@ class Simulator:
                 # Unbounded drain: the overwhelmingly common call.  The
                 # foreground count is exact (cancel releases it eagerly),
                 # so the loop condition alone is the drain check.
-                if not metrics.enabled and not tracer.enabled:
+                dispatch_traced = "sim" in tracer.live
+                mirror = metrics._tracer
+                if not metrics.enabled and not dispatch_traced:
                     while heap and queue._foreground and not self._stopped:
                         entry = heappop(heap)
                         event = entry[2]
@@ -147,12 +150,12 @@ class Simulator:
                         self.now = entry[0]
                         self._events_processed += 1
                         event.fn(*event.args)
-                elif metrics.enabled and not tracer.enabled and metrics._tracer is None:
-                    # Metrics on, but nothing mirrors increments into a
-                    # trace stream: the per-event counter and the queue
-                    # high-water mark can be accumulated in locals and
-                    # flushed once — the final values are identical
-                    # (counts sum, max is associative).
+                elif not dispatch_traced and (mirror is None or "metric" not in mirror.live):
+                    # Metrics on, but nothing traces dispatches or mirrors
+                    # increments into a trace stream: the per-event counter
+                    # and the queue high-water mark can be accumulated in
+                    # locals and flushed once — the final values are
+                    # identical (counts sum, max is associative).
                     dispatched = 0
                     depth_hw = 0
                     try:
@@ -212,7 +215,7 @@ class Simulator:
                         queue._foreground -= 1
                     self.now = next_time
                     self._events_processed += 1
-                    if metrics.enabled or tracer.enabled:
+                    if metrics.enabled or "sim" in tracer.live:
                         self._observe_dispatch(event)
                     event.fn(*event.args)
                     fired += 1

@@ -72,7 +72,7 @@ class WriteAheadLog:
             if synced:
                 metrics.inc("wal.syncs", node=self.label)
         tracer = self.tracer
-        if tracer.enabled:
+        if "wal" in tracer.live:
             # One span per append covering its durability window; batched
             # appends overlap on the same track, which is exactly how group
             # commit looks in a trace viewer.
