@@ -140,7 +140,7 @@ class TwoPcCoordinator(NetworkNode):
         if tx.votes.get(msg.key) is not None:
             return
         tx.votes[msg.key] = msg.prepared
-        tx.events.on_vote(tx.request, msg.key, msg.prepared, self.sim.now)
+        tx.events.on_votes(tx.request, ((msg.key, msg.prepared),), self.sim.now)
         if tx.decided:
             return  # the hook aborted the transaction (``abort``)
         if not msg.prepared:

@@ -138,7 +138,8 @@ def config_from_overrides(base: Any, overrides: Optional[Mapping[str, str]]) -> 
 
     Keys name dataclass fields; dotted keys (``likelihood.use_deadline``)
     descend into nested config dataclasses.  Unknown keys raise
-    :class:`ConfigOverrideError` listing the valid names.
+    :class:`ConfigOverrideError` listing the valid names, and so does a
+    value the config's own range checks (``__post_init__``) refuse.
     """
     if not overrides:
         return base
@@ -179,7 +180,10 @@ def config_from_overrides(base: Any, overrides: Optional[Mapping[str, str]]) -> 
         if not (dataclasses.is_dataclass(current) and not isinstance(current, type)):
             raise ConfigOverrideError(f"{head} is not a nested config")
         changes[head] = config_from_overrides(current, sub)
-    return dataclasses.replace(base, **changes)
+    try:
+        return dataclasses.replace(base, **changes)
+    except ValueError as exc:  # a range rule in the config's __post_init__
+        raise ConfigOverrideError(str(exc)) from exc
 
 
 class Config:

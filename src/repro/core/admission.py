@@ -56,6 +56,24 @@ class AdmissionDecision:
         return self.action is AdmissionAction.ADMIT
 
 
+def check_admission_settings(
+    threshold: float, random_reject_rate: float, delay_ms: float, max_delays: int
+) -> None:
+    """The admission knobs' ranges, named as :class:`PlanetConfig` names them.
+
+    Checked by the controller and, so a bad ``--set`` dies up front, by
+    ``PlanetConfig`` itself.
+    """
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"admission_threshold must be in [0, 1], got {threshold}")
+    if not 0.0 <= random_reject_rate < 1.0:
+        raise ValueError(f"random_reject_rate must be in [0, 1), got {random_reject_rate}")
+    if delay_ms <= 0:
+        raise ValueError(f"admission_delay_ms must be positive, got {delay_ms}")
+    if max_delays < 1:
+        raise ValueError(f"admission_max_delays must be >= 1, got {max_delays}")
+
+
 class AdmissionController:
     def __init__(
         self,
@@ -66,14 +84,7 @@ class AdmissionController:
         max_delays: int = 3,
         rng: Optional[Random] = None,
     ) -> None:
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be a probability")
-        if not 0.0 <= random_reject_rate < 1.0:
-            raise ValueError("random_reject_rate must be in [0, 1)")
-        if delay_ms <= 0:
-            raise ValueError("delay_ms must be positive")
-        if max_delays < 1:
-            raise ValueError("max_delays must be >= 1")
+        check_admission_settings(threshold, random_reject_rate, delay_ms, max_delays)
         self.policy = policy
         self.threshold = threshold
         self.random_reject_rate = random_reject_rate

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.config import Config
-from repro.core.admission import AdmissionAction, AdmissionController, AdmissionPolicy
+from repro.core.admission import (
+    AdmissionAction,
+    AdmissionController,
+    AdmissionPolicy,
+    check_admission_settings,
+)
 from repro.core.conflicts import ConflictTracker
 from repro.core.likelihood import (
     CommitLikelihoodModel,
@@ -27,7 +32,7 @@ from repro.core.likelihood import (
 )
 from repro.core.stages import TxStage
 from repro.core.speculation import SpeculationManager
-from repro.core.transaction import PlanetTransaction
+from repro.core.transaction import PlanetTransaction, check_guess_threshold, check_timeout
 from repro.obs.metrics import MetricsRegistry
 from repro.ops import AbortReason, Decision, Outcome, validate_isolation
 from repro.paxos.ballot import classic_quorum, fast_quorum
@@ -57,6 +62,19 @@ class PlanetConfig(Config):
     default_guess_threshold: Optional[float] = None
     default_timeout_ms: Optional[float] = None
     use_empirical_model: bool = False
+
+    def __post_init__(self) -> None:
+        check_admission_settings(
+            self.admission_threshold,
+            self.random_reject_rate,
+            self.admission_delay_ms,
+            self.admission_max_delays,
+        )
+        validate_isolation(self.isolation)
+        if self.default_guess_threshold is not None:
+            check_guess_threshold(self.default_guess_threshold, "default_guess_threshold")
+        if self.default_timeout_ms is not None:
+            check_timeout(self.default_timeout_ms, "default_timeout_ms")
 
 
 class PlanetSession:
@@ -108,7 +126,6 @@ class PlanetSession:
         # floor for monotonic-session transactions.  Only maintained when
         # such transactions run, so serializable sessions are untouched.
         self._read_watermarks: Dict[str, int] = {}
-        validate_isolation(self.config.isolation)
         n = len(cluster.replica_ids)
         self.record_quorum = (
             fast_quorum(n) if getattr(cluster.config, "use_fast_path", True) else classic_quorum(n)

@@ -2,9 +2,10 @@
 
 One :class:`SpeculationManager` rides along with each submitted transaction
 as its :class:`~repro.ops.TxEvents` hook object.  It evaluates the commit
-likelihood at the transaction's first replica vote (the calibration
-snapshot) and then once per vote only while someone reads it — a guess
-threshold is armed and has not fired, or a progress callback is registered.
+likelihood at the transaction's first vote message (the calibration
+snapshot) and then once per vote message only while someone reads it — a
+guess threshold is armed and has not fired, or a progress callback is
+registered.
 Each evaluation feeds the progress callback and fires the *guess* — the
 speculative commit — the first time the likelihood crosses the application's
 threshold.  At decision time it reconciles the guess (commit: the guess was
@@ -25,7 +26,7 @@ class SpeculationManager(TxEvents):
     def __init__(self, tx: PlanetTransaction, session) -> None:
         self.tx = tx
         self.session = session
-        # Per-key (accepts, rejects) counts observed through on_vote, kept so
+        # Per-key (accepts, rejects) counts observed through on_votes, kept so
         # conflict statistics survive the coordinator forgetting the tx.
         self.vote_counts: Dict[str, List[int]] = {}
         # Vote-state history per key, kept only when the session has an
@@ -71,16 +72,21 @@ class SpeculationManager(TxEvents):
         self.tx.transition(TxStage.PENDING, now)
         self.note_stage(TxStage.PENDING, now)
 
-    def on_vote(self, request: TxRequest, key: str, accepted: bool, now: float) -> None:
-        counts = self.vote_counts.setdefault(key, [0, 0])
-        if self.session.empirical_model is not None:
-            self.state_history.setdefault(key, []).append((counts[0], counts[1]))
-        counts[0 if accepted else 1] += 1
+    def on_votes(
+        self, request: TxRequest, votes: Tuple[Tuple[str, bool], ...], now: float
+    ) -> None:
+        keep_history = self.session.empirical_model is not None
+        for key, accepted in votes:
+            counts = self.vote_counts.setdefault(key, [0, 0])
+            if keep_history:
+                self.state_history.setdefault(key, []).append((counts[0], counts[1]))
+            counts[0 if accepted else 1] += 1
 
         # The likelihood is a pure function of coordinator and conflict
-        # state, so it is computed only for someone who reads it: the
-        # first-vote calibration snapshot, a guess still waiting to fire, or
-        # a progress callback (looked up per vote: it may be attached late).
+        # state, so it is computed once per vote message, and only for
+        # someone who reads it: the first-vote calibration snapshot, a guess
+        # still waiting to fire, or a progress callback (looked up per
+        # message: it may be attached late).
         tx = self.tx
         if not (
             tx.predicted_at_first_vote is None

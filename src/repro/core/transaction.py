@@ -25,6 +25,16 @@ from repro.ops import (
 )
 
 
+def check_timeout(timeout_ms: float, name: str = "timeout_ms") -> None:
+    if timeout_ms <= 0:
+        raise ValueError(f"{name} must be positive, got {timeout_ms}")
+
+
+def check_guess_threshold(threshold: float, name: str = "guess threshold") -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {threshold}")
+
+
 class PlanetTransaction:
     """One application transaction under the PLANET programming model.
 
@@ -89,15 +99,13 @@ class PlanetTransaction:
 
     def with_timeout(self, timeout_ms: float) -> "PlanetTransaction":
         self._check_mutable()
-        if timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
+        check_timeout(timeout_ms)
         self.timeout_ms = timeout_ms
         return self
 
     def with_guess_threshold(self, threshold: float) -> "PlanetTransaction":
         self._check_mutable()
-        if not 0.0 < threshold <= 1.0:
-            raise ValueError("guess threshold must be in (0, 1]")
+        check_guess_threshold(threshold)
         self.guess_threshold = threshold
         return self
 

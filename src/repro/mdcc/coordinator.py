@@ -1,14 +1,16 @@
 """Transaction coordinator (app-server side) of the MDCC engine.
 
 The coordinator lives in the client's data center.  It serves reads from the
-local replica, proposes one option per written record to every replica, counts
-votes per record, and decides: commit iff every record's option is chosen by a
-quorum; abort as soon as any record's option can no longer reach quorum, or
-when the transaction's deadline expires.
+local replica, proposes the transaction's options (one per written record) to
+every replica in a single ``Phase2a`` each, counts the votes of each returning
+``Phase2b`` per record, and decides: commit iff every record's option is
+chosen by a quorum; abort as soon as any record's option can no longer reach
+quorum, or when the transaction's deadline expires.
 
 PLANET plugs in via two seams:
 
-* the :class:`~repro.ops.TxEvents` hooks, called on every vote and decision;
+* the :class:`~repro.ops.TxEvents` hooks, called once per vote message and
+  once on the decision;
 * :meth:`MdccCoordinator.progress`, a structured snapshot of per-record vote
   state that the commit-likelihood model evaluates.
 """
@@ -87,7 +89,7 @@ class _InflightTx:
 
     __slots__ = (
         "request", "events", "options", "trackers", "proposed_at",
-        "decided", "timeout_event", "prepare_votes", "phase", "ballot",
+        "decided", "timeout_event", "promised_by", "phase", "ballot",
         "round_span",
     )
 
@@ -97,7 +99,7 @@ class _InflightTx:
         self.options: Dict[str, Option] = {}
         self.trackers: Dict[str, QuorumTracker] = {}
         self.proposed_at: Dict[str, float] = {}
-        self.prepare_votes: Dict[str, Set[str]] = {}
+        self.promised_by: Set[str] = set()  # replicas that promised every record
         self.decided = False
         self.timeout_event = None
         self.phase = "read"
@@ -319,25 +321,24 @@ class MdccCoordinator(NetworkNode):
                 self.sim.now, "paxos", "prepare_round",
                 track=tx.request.txid, coordinator=self.node_id, keys=len(tx.options),
             )
-        for key in tx.options:
-            tx.prepare_votes[key] = set()
-            for replica_id in self.replica_ids:
-                self.send(
-                    replica_id,
-                    protocol.Phase1a(txid=tx.request.txid, key=key, ballot=tx.ballot),
-                )
+        keys = tuple(tx.options)
+        for replica_id in self.replica_ids:
+            self.send(
+                replica_id,
+                protocol.Phase1a(txid=tx.request.txid, keys=keys, ballot=tx.ballot),
+            )
 
     def _on_phase1b(self, msg: protocol.Phase1b) -> None:
         tx = self._inflight.get(msg.txid)
         if tx is None or tx.decided or tx.phase != "prepare":
             return
-        if not msg.promised:
+        if not all(promised for _key, promised in msg.promises):
             self._decide(tx, Outcome.ABORTED, AbortReason.BALLOT)
             return
-        votes = tx.prepare_votes[msg.key]
-        votes.add(msg.sender)
-        majority = classic_quorum(len(self.replica_ids))
-        if all(len(v) >= majority for v in tx.prepare_votes.values()):
+        # Every Phase1b answers for all of the transaction's records, so a
+        # majority of promising replicas prepares every record at once.
+        tx.promised_by.add(msg.sender)
+        if len(tx.promised_by) >= classic_quorum(len(self.replica_ids)):
             self._send_accepts(tx)
 
     def _send_accepts(self, tx: _InflightTx) -> None:
@@ -358,55 +359,58 @@ class MdccCoordinator(NetworkNode):
                 track=tx.request.txid, coordinator=self.node_id, keys=len(tx.options),
                 fast=tx.ballot.fast if tx.ballot is not None else True,
             )
-        for key, option in tx.options.items():
+        for key in tx.options:
             tx.proposed_at[key] = now
-            for replica_id in self.replica_ids:
-                self.send(
-                    replica_id,
-                    protocol.Phase2a(
-                        txid=tx.request.txid, key=key, ballot=tx.ballot, option=option
-                    ),
-                )
+        options = tuple(tx.options.values())
+        for replica_id in self.replica_ids:
+            self.send(
+                replica_id,
+                protocol.Phase2a(txid=tx.request.txid, ballot=tx.ballot, options=options),
+            )
 
     def _on_phase2b(self, msg: protocol.Phase2b) -> None:
         tx = self._inflight.get(msg.txid)
         if tx is None or tx.decided or tx.phase != "accept":
             return
-        tracker = tx.trackers.get(msg.key)
-        if tracker is None:
-            return
-        tracker.add_vote(msg.sender, msg.accepted)
-        if not msg.accepted:
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                # A replica rejected the option: the record is contended.
-                metrics.inc("mdcc.option_conflicts")
+        trackers = tx.trackers
+        now = self.sim.now
+        metrics = self.sim.metrics
         tracer = self.sim.tracer
-        if "paxos" in tracer.live:
-            tracer.emit(
-                self.sim.now, "paxos", "vote",
-                txid=msg.txid, key=msg.key, replica=msg.sender, accepted=msg.accepted,
-                accepts=tracker.accepts, rejects=tracker.rejects,
-            )
-        tx.events.on_vote(tx.request, msg.key, msg.accepted, self.sim.now)
+        rejected = False
+        for key, accepted in msg.votes:
+            tracker = trackers[key]
+            tracker.add_vote(msg.sender, accepted)
+            if not accepted:
+                rejected = True
+                if metrics.enabled:
+                    # A replica rejected the option: the record is contended.
+                    metrics.inc("mdcc.option_conflicts")
+            if "paxos" in tracer.live:
+                tracer.emit(
+                    now, "paxos", "vote",
+                    txid=msg.txid, key=key, replica=msg.sender, accepted=accepted,
+                    accepts=tracker.accepts, rejects=tracker.rejects,
+                )
+        tx.events.on_votes(tx.request, msg.votes, now)
         if tx.decided:
             return  # the hook aborted the transaction (``abort``)
+        # Only a reject can doom a record.
+        doomed = rejected and any(trackers[key].doomed for key, _ in msg.votes)
         if self.config.unsafe_skip_quorum_check:
             # Seeded fault: treat one accept per record as "chosen".  The
             # checker's quorum-backing invariant must flag every commit
             # decided down here.
-            if all(t.accepts >= 1 for t in tx.trackers.values()):
+            if all(t.accepts >= 1 for t in trackers.values()):
                 self._decide(tx, Outcome.COMMITTED, AbortReason.NONE)
-            elif tracker.doomed:
+            elif doomed:
                 self._decide(tx, Outcome.ABORTED, AbortReason.CONFLICT)
             return
-        if self.config.optimistic_abort and not msg.accepted:
-            # Jepsen et al.'s variant: a single rejection aborts immediately
-            # rather than waiting until a quorum is provably impossible.
+        if doomed or (rejected and self.config.optimistic_abort):
+            # ``optimistic_abort`` is Jepsen et al.'s variant: a single
+            # rejection aborts immediately rather than waiting until a
+            # quorum is provably impossible.
             self._decide(tx, Outcome.ABORTED, AbortReason.CONFLICT)
-        elif tracker.doomed:
-            self._decide(tx, Outcome.ABORTED, AbortReason.CONFLICT)
-        elif tracker.chosen and all(t.chosen for t in tx.trackers.values()):
+        elif all(t.chosen for t in trackers.values()):
             self._decide(tx, Outcome.COMMITTED, AbortReason.NONE)
 
     # ------------------------------------------------------------------

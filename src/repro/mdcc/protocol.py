@@ -27,40 +27,41 @@ class ReadReply(Message):
 
 @dataclass(slots=True)
 class Phase1a(Message):
-    """Classic-path prepare for one record."""
+    """Classic-path prepare for every record a transaction writes."""
 
     txid: str = ""
-    key: str = ""
+    keys: Tuple[str, ...] = ()
     ballot: Ballot = None  # type: ignore[assignment]
 
 
 @dataclass(slots=True)
 class Phase1b(Message):
+    """A replica's promises on a ``Phase1a``: one ``(key, promised)`` pair
+    per record, in the order the prepare named them."""
+
     txid: str = ""
-    key: str = ""
     ballot: Ballot = None  # type: ignore[assignment]
-    promised: bool = False
+    promises: Tuple[Tuple[str, bool], ...] = ()
 
 
 @dataclass(slots=True)
 class Phase2a(Message):
-    """Propose an option for one record (fast path sends this directly)."""
+    """Propose every option of a transaction to one replica (the fast path
+    sends this directly)."""
 
     txid: str = ""
-    key: str = ""
     ballot: Ballot = None  # type: ignore[assignment]
-    option: Option = None  # type: ignore[assignment]
+    options: Tuple[Option, ...] = ()
 
 
 @dataclass(slots=True)
 class Phase2b(Message):
-    """A replica's vote on one record's option."""
+    """A replica's votes on a ``Phase2a``: one ``(key, accepted)`` pair per
+    option, in the order the proposal carried them."""
 
     txid: str = ""
-    key: str = ""
     ballot: Ballot = None  # type: ignore[assignment]
-    accepted: bool = False
-    reason: str = ""
+    votes: Tuple[Tuple[str, bool], ...] = ()
 
 
 @dataclass(slots=True)

@@ -2,8 +2,9 @@
 
 One :class:`MdccReplica` wraps each storage node.  It owns a per-record
 :class:`~repro.paxos.acceptor.OptionAcceptor`, validates options against the
-local record state, forces accepted options to the WAL before voting, and
-applies/discards pending options when the coordinator's decision arrives.
+local record state, forces a proposal's accepted options to the WAL with one
+append before its single vote message leaves, and applies/discards pending
+options when the coordinator's decision arrives.
 
 Two message races require care (both were caught by the replica-convergence
 invariant tests):
@@ -104,57 +105,54 @@ class MdccReplica:
         self.node.send(msg.sender, protocol.ReadReply(txid=msg.txid, results=results))
 
     def _on_phase1a(self, msg: protocol.Phase1a) -> None:
-        acceptor = self.acceptor(msg.key)
-        promised, _accepted = acceptor.handle_prepare(msg.ballot)
+        promises = tuple(
+            (key, self.acceptor(key).handle_prepare(msg.ballot)[0]) for key in msg.keys
+        )
         self.node.send(
             msg.sender,
-            protocol.Phase1b(txid=msg.txid, key=msg.key, ballot=msg.ballot, promised=promised),
+            protocol.Phase1b(txid=msg.txid, ballot=msg.ballot, promises=promises),
         )
 
     def _on_phase2a(self, msg: protocol.Phase2a) -> None:
-        if msg.txid in self._blocked:
+        txid = msg.txid
+        if txid in self._blocked or txid in self._decided:
+            # Blocked by recovery, or already decided without our vote:
+            # accepting now would orphan a pending option.  Refuse every
+            # option of the (possibly already gone) coordinator.
             self.node.send(
                 msg.sender,
                 protocol.Phase2b(
-                    txid=msg.txid, key=msg.key, ballot=msg.ballot,
-                    accepted=False, reason="transaction blocked by recovery",
+                    txid=txid, ballot=msg.ballot,
+                    votes=tuple((option.key, False) for option in msg.options),
                 ),
             )
             return
-        if msg.txid in self._decided:
-            # The transaction already decided without our vote; accepting now
-            # would orphan a pending option.  The vote is moot — tell the
-            # (already gone) coordinator no.
-            self.node.send(
-                msg.sender,
-                protocol.Phase2b(
-                    txid=msg.txid, key=msg.key, ballot=msg.ballot,
-                    accepted=False, reason="transaction already decided",
-                ),
+        store = self.node.store
+        votes = []
+        first_accepted = None
+        for option in msg.options:
+            key = option.key
+            record = store.record(key)
+            result = self.acceptor(key).handle_accept(
+                msg.ballot,
+                txid,
+                option,
+                validate=lambda option, record=record: validate_option(option, record),
             )
-            return
-        record = self.node.store.record(msg.key)
-        acceptor = self.acceptor(msg.key)
-        result = acceptor.handle_accept(
-            msg.ballot,
-            msg.txid,
-            msg.option,
-            validate=lambda option: validate_option(option, record),
-        )
-        vote = protocol.Phase2b(
-            txid=msg.txid,
-            key=msg.key,
-            ballot=msg.ballot,
-            accepted=result.accepted,
-            reason=result.reason,
-        )
-        if result.accepted:
-            record.pending[msg.txid] = msg.option
-            delay = self.node.wal.append("option", msg.txid, self.node.sim.now)
-            self.node.reply_after_sync(delay, msg.sender, vote)
-            self._arm_orphan_timer(msg.txid, msg.key)
-        else:
+            votes.append((key, result.accepted))
+            if result.accepted:
+                record.pending[txid] = option
+                if first_accepted is None:
+                    first_accepted = key
+        vote = protocol.Phase2b(txid=txid, ballot=msg.ballot, votes=tuple(votes))
+        if first_accepted is None:
             self.node.send(msg.sender, vote)
+            return
+        # One append makes every accepted option of the message durable;
+        # the vote leaves only once it is.
+        delay = self.node.wal.append("option", txid, self.node.sim.now)
+        self.node.reply_after_sync(delay, msg.sender, vote)
+        self._arm_orphan_timer(txid, first_accepted)
 
     def _on_decision(self, msg: protocol.DecisionMessage) -> None:
         if msg.txid in self._decided:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 
 class Outcome(enum.Enum):
@@ -167,8 +167,12 @@ class TxEvents:
     def on_commit_started(self, request: TxRequest, now: float) -> None:
         """Options/prepares have been sent to the replicas."""
 
-    def on_vote(self, request: TxRequest, key: str, accepted: bool, now: float) -> None:
-        """One replica voted on one record's option (or prepare)."""
+    def on_votes(
+        self, request: TxRequest, votes: Tuple[Tuple[str, bool], ...], now: float
+    ) -> None:
+        """One replica's vote message arrived: a ``(key, accepted)`` pair per
+        record it voted on (an MDCC ``Phase2b`` carries every record of the
+        transaction; a 2PC prepare reply carries one)."""
 
     def on_decided(self, request: TxRequest, decision: Decision) -> None:
         """The engine reached a final commit/abort decision."""

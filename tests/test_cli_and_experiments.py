@@ -196,6 +196,10 @@ class TestOverrideNamespaces:
                 "--set", "default_guess_thresholdd=0.9",
             ])
 
+    def test_out_of_range_value_dies_up_front(self):
+        with pytest.raises(SystemExit, match="bad --set override: random_reject_rate"):
+            main(["run", "s3", "--no-cache", "--set", "random_reject_rate=1.0"])
+
     def test_removed_cluster_option_is_an_unknown_key(self):
         with pytest.raises(SystemExit, match="bad --set override"):
             main([

@@ -20,10 +20,12 @@ from repro.check.history import HistoryRecorder
 from repro.ops import reset_txid_counter
 from repro.experiments.common import microbench_run
 
-# Digest of the f7_guess_vs_commit primary run (seed 11) recorded before
-# the isolation-level work landed.
+# Digest of the f7_guess_vs_commit primary run (seed 11), recorded before
+# the isolation-level work landed and re-pinned once when MDCC moved to one
+# Phase2a/Phase2b per replica per transaction (the previous digest was
+# fd4dbdf0aa54e1edeeb0a0398a375044961be62b76f013493852dd8bf377675c).
 F7_SERIALIZABLE_DIGEST = (
-    "fd4dbdf0aa54e1edeeb0a0398a375044961be62b76f013493852dd8bf377675c"
+    "592e4038f5267ab7ecfb605f247dbf716b97a6ac2a9c7ba44a348539263cea35"
 )
 
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
+from repro.mdcc import protocol
+from repro.net.network import Network
 from repro.ops import AbortReason, Decision, DeltaOp, Outcome, TxEvents, TxRequest, WriteOp
+from repro.storage.wal import WriteAheadLog
 
 
 class RecordingEvents(TxEvents):
@@ -19,8 +22,9 @@ class RecordingEvents(TxEvents):
     def on_commit_started(self, request, now):
         self.trace.append(("commit_started", now))
 
-    def on_vote(self, request, key, accepted, now):
-        self.trace.append(("vote", key, accepted, now))
+    def on_votes(self, request, votes, now):
+        for key, accepted in votes:
+            self.trace.append(("vote", key, accepted, now))
 
     def on_decided(self, request, decision):
         self.trace.append(("decided", decision.outcome, decision.decided_at))
@@ -91,6 +95,71 @@ class TestCommitPath:
         coordinator.execute(TxRequest(txid="t1", writes=[WriteOp("x", 1)]), TxEvents())
         with pytest.raises(ValueError):
             coordinator.execute(TxRequest(txid="t1", writes=[WriteOp("x", 2)]), TxEvents())
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """Every message handed to the network, in send order."""
+    messages = []
+    send = Network.send
+
+    def recording(network, sender_id, recipient_id, message):
+        messages.append(message)
+        send(network, sender_id, recipient_id, message)
+
+    monkeypatch.setattr(Network, "send", recording)
+    return messages
+
+
+class TestCoalescedRounds:
+    """One proposal and one vote message per replica, whatever the write set."""
+
+    def test_two_writes_cost_one_round_per_replica(self, mdcc_cluster, monkeypatch, sent):
+        appends = []
+        append = WriteAheadLog.append
+
+        def counting_append(wal, kind, txid, now):
+            appends.append((wal.label, kind))
+            return append(wal, kind, txid, now)
+
+        monkeypatch.setattr(WriteAheadLog, "append", counting_append)
+        request = TxRequest(
+            txid="t1", writes=[WriteOp("a", 1, read_version=0), WriteOp("b", 2, read_version=0)]
+        )
+        events = execute(mdcc_cluster, request)
+        assert events.decision.committed
+        n = len(mdcc_cluster.storage_nodes)
+        by_kind = {}
+        for message in sent:
+            by_kind.setdefault(type(message), []).append(message)
+        assert len(by_kind[protocol.Phase2a]) == n
+        assert len(by_kind[protocol.Phase2b]) == n
+        assert len(by_kind[protocol.DecisionMessage]) == n
+        assert len({m.recipient for m in by_kind[protocol.Phase2a]}) == n
+        for proposal in by_kind[protocol.Phase2a]:
+            assert [option.key for option in proposal.options] == ["a", "b"]
+        for vote in by_kind[protocol.Phase2b]:
+            assert vote.votes == (("a", True), ("b", True))
+        options = [entry for entry in appends if entry[1] == "option"]
+        assert len(options) == n and len(set(options)) == n
+        # Every record collected its votes from the same messages.
+        assert [entry[1:3] for entry in events.trace if entry[0] == "vote"] == [
+            ("a", True), ("b", True)
+        ] * 4
+
+    def test_classic_path_prepares_every_record_in_one_message(self, sent):
+        cluster = Cluster(ClusterConfig(seed=3, jitter_sigma=0.0, use_fast_path=False))
+        request = TxRequest(
+            txid="t1", writes=[WriteOp("a", 1, read_version=0), WriteOp("b", 2, read_version=0)]
+        )
+        events = execute(cluster, request)
+        assert events.decision.committed
+        prepares = [m for m in sent if isinstance(m, protocol.Phase1a)]
+        promises = [m for m in sent if isinstance(m, protocol.Phase1b)]
+        assert len(prepares) == len(promises) == len(cluster.storage_nodes)
+        assert all(m.keys == ("a", "b") for m in prepares)
+        assert all(m.promises == (("a", True), ("b", True)) for m in promises)
+        assert sum(isinstance(m, protocol.Phase2a) for m in sent) == len(cluster.storage_nodes)
 
 
 class TestConflicts:
@@ -258,7 +327,7 @@ class TestProgressSnapshot:
         snapshots = []
 
         class Snapshotter(TxEvents):
-            def on_vote(self, request, key, accepted, now):
+            def on_votes(self, request, votes, now):
                 snapshots.append(coordinator.progress(request.txid))
 
         coordinator.execute(
@@ -283,7 +352,7 @@ class TestProgressSnapshot:
         seen = []
 
         class Snapshotter(TxEvents):
-            def on_vote(self, request, key, accepted, now):
+            def on_votes(self, request, votes, now):
                 seen.append(coordinator.progress(request.txid).deadline_at)
 
         coordinator.execute(

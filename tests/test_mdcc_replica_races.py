@@ -50,9 +50,9 @@ def fast_ballot():
     return Ballot(0, "", fast=True)
 
 
-def phase2a(txid, key, option):
+def phase2a(txid, *options):
     return protocol.Phase2a(
-        txid=txid, key=key, ballot=fast_ballot(), option=option, sender="coord"
+        txid=txid, ballot=fast_ballot(), options=options, sender="coord"
     )
 
 
@@ -69,30 +69,101 @@ class TestLateProposalSuppression:
         sim.run()
         assert node.store.get("x").value == 5
         # ... then the replica's own (reordered) proposal shows up.
-        node.receive(phase2a("t1", "x", option))
+        node.receive(phase2a("t1", option))
         sim.run()
         record = node.store.record("x")
         assert record.pending == {}, "late proposal must not orphan a pending option"
         votes = [m for m in sink.received if isinstance(m, protocol.Phase2b)]
-        assert votes and not votes[-1].accepted
-        assert "already decided" in votes[-1].reason
+        assert votes and votes[-1].votes == (("x", False),)
 
     def test_late_proposal_after_abort_decision(self, replica_rig):
         sim, node, replica, sink = replica_rig
         option = WriteOption("t1", "x", read_version=0, new_value=5)
         node.receive(decision("t1", commit=False, options=[option]))
         sim.run()
-        node.receive(phase2a("t1", "x", option))
+        node.receive(phase2a("t1", option))
         sim.run()
         assert node.store.record("x").pending == {}
         assert node.store.get("x").value == 0  # aborted, never applied
+
+
+def recording_sends(node, monkeypatch):
+    """Record (message, send time) for everything ``node`` sends."""
+    sends = []
+    send = node.send
+
+    def recording(recipient_id, message):
+        sends.append((message, node.sim.now))
+        send(recipient_id, message)
+
+    monkeypatch.setattr(node, "send", recording)
+    return sends
+
+
+class TestCoalescedVotes:
+    """One Phase2a carries every option; one Phase2b answers for all of them."""
+
+    def test_mixed_vote_leaves_once_its_append_is_durable(self, replica_rig, monkeypatch):
+        sim, node, replica, sink = replica_rig
+        sends = recording_sends(node, monkeypatch)
+        stale = WriteOption("t1", "x", read_version=3, new_value=1)
+        fresh = WriteOption("t1", "y", read_version=0, new_value=2)
+        appends = node.wal.appends
+        node.receive(phase2a("t1", stale, fresh))
+        assert node.wal.appends == appends + 1  # one append for the whole proposal
+        assert sends == [], "an accepting vote must wait for its WAL append"
+        assert node.store.record("x").pending == {}
+        assert node.store.record("y").pending == {"t1": fresh}
+        sim.run()
+        [(vote, sent_at)] = sends
+        assert vote.votes == (("x", False), ("y", True))
+        assert sent_at >= node.wal.sync_delay_ms > 0
+        assert sink.received == [vote]
+
+    def test_all_reject_vote_leaves_at_once(self, replica_rig, monkeypatch):
+        sim, node, replica, sink = replica_rig
+        sends = recording_sends(node, monkeypatch)
+        appends = node.wal.appends
+        node.receive(phase2a(
+            "t1",
+            WriteOption("t1", "x", read_version=3, new_value=1),
+            WriteOption("t1", "y", read_version=4, new_value=2),
+        ))
+        assert node.wal.appends == appends
+        [(vote, sent_at)] = sends
+        assert vote.votes == (("x", False), ("y", False))
+        assert sent_at == 0.0
+
+    @pytest.mark.parametrize("refusal", ["decided", "blocked"])
+    def test_late_or_blocked_proposal_refused_for_every_option(
+        self, replica_rig, monkeypatch, refusal
+    ):
+        sim, node, replica, sink = replica_rig
+        options = [
+            WriteOption("t1", "x", read_version=0, new_value=1),
+            WriteOption("t1", "y", read_version=0, new_value=2),
+        ]
+        if refusal == "decided":
+            node.receive(decision("t1", commit=False, options=options))
+            sim.run()
+        else:
+            node.receive(protocol.TxStatusQuery(txid="t1", key="x", sender="coord"))
+            sim.run()
+        sink.received.clear()
+        appends = node.wal.appends
+        node.receive(phase2a("t1", *options))
+        sim.run()
+        assert node.wal.appends == appends
+        assert [m.votes for m in sink.received] == [(("x", False), ("y", False))]
+        assert node.store.record("x").pending == {}
+        assert node.store.record("y").pending == {}
 
 
 class TestDuplicateDecisions:
     def test_duplicate_commit_applied_once(self, replica_rig):
         sim, node, replica, sink = replica_rig
         option = WriteOption("t1", "x", read_version=0, new_value=5)
-        node.receive(phase2a("t1", "x", option))
+        node.receive(phase2a("t1", option))
         sim.run()
         node.receive(decision("t1", commit=True, options=[option]))
         node.receive(decision("t1", commit=True, options=[option]))

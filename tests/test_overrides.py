@@ -117,6 +117,27 @@ class TestFromOverrides:
         with pytest.raises(ConfigOverrideError, match="none, likelihood, random, delay"):
             PlanetConfig.from_overrides({"admission_policy": "strict"})
 
+    @pytest.mark.parametrize(
+        "field, raw, value",
+        [
+            ("admission_threshold", "-2", -2.0),
+            ("admission_threshold", "1.5", 1.5),
+            ("random_reject_rate", "1.0", 1.0),
+            ("random_reject_rate", "-0.1", -0.1),
+            ("admission_delay_ms", "0", 0.0),
+            ("admission_max_delays", "0", 0),
+            ("isolation", "bogus", "bogus"),
+            ("default_guess_threshold", "1.5", 1.5),
+            ("default_guess_threshold", "0", 0.0),
+            ("default_timeout_ms", "-5", -5.0),
+        ],
+    )
+    def test_out_of_range_value_rejected(self, field, raw, value):
+        with pytest.raises(ConfigOverrideError, match=field):
+            PlanetConfig.from_overrides({field: raw})
+        with pytest.raises(ValueError, match=field):
+            PlanetConfig(**{field: value})
+
     def test_empty_overrides_return_base(self):
         base = PlanetConfig()
         assert PlanetConfig.from_overrides({}, base=base) is base

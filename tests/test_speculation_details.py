@@ -16,7 +16,7 @@ class TestTxEventsDefaults:
         request = TxRequest(txid="t")
         events.on_reads_complete(request, 0.0)
         events.on_commit_started(request, 0.0)
-        events.on_vote(request, "k", True, 0.0)
+        events.on_votes(request, (("k", True),), 0.0)
         events.on_decided(request, Decision("t", Outcome.COMMITTED))
 
 

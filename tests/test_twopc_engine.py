@@ -16,8 +16,8 @@ class RecordingEvents(TxEvents):
         self.decision = None
         self.votes = []
 
-    def on_vote(self, request, key, accepted, now):
-        self.votes.append((key, accepted))
+    def on_votes(self, request, votes, now):
+        self.votes.extend(votes)
 
     def on_decided(self, request, decision):
         self.decision = decision

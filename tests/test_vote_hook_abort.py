@@ -1,9 +1,9 @@
-"""An abort issued from inside ``TxEvents.on_vote`` decides exactly once.
+"""An abort issued from inside ``TxEvents.on_votes`` decides exactly once.
 
-The hook runs before the coordinator tallies the vote.  When it aborts on
-the very vote that chooses or dooms a record, the coordinator must stop
-there: one ABORTED/CLIENT decision, one decision broadcast, and nothing
-left pending at the replicas.
+The hook runs before the coordinator decides on a vote message.  When it
+aborts on the very message that chooses or dooms a record, the coordinator
+must stop there: one ABORTED/CLIENT decision, one decision broadcast, and
+nothing left pending at the replicas.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ DCS = ("us_west", "us_east", "ireland", "singapore", "tokyo")
 
 
 class AbortOnVote(TxEvents):
-    """Aborts its transaction from inside the ``nth`` positive vote."""
+    """Aborts its transaction from inside the ``nth`` all-accept vote message."""
 
     def __init__(self, coordinator, nth: int) -> None:
         self.coordinator = coordinator
@@ -29,8 +29,8 @@ class AbortOnVote(TxEvents):
         self.aborted = None
         self.decisions = []
 
-    def on_vote(self, request, key, accepted, now):
-        if accepted:
+    def on_votes(self, request, votes, now):
+        if all(accepted for _key, accepted in votes):
             self.yes_votes += 1
             if self.yes_votes == self.nth:
                 self.aborted = self.coordinator.abort(request.txid)
@@ -53,22 +53,30 @@ def count_sends(monkeypatch, coordinator, message_type):
     return sent
 
 
-def test_mdcc_abort_on_the_choosing_vote(monkeypatch):
+def abort_on_the_choosing_message(monkeypatch, keys):
     cluster = Cluster(ClusterConfig(seed=3, jitter_sigma=0.0))
     coordinator = cluster.coordinator("us_west")
     broadcasts = count_sends(monkeypatch, coordinator, mdcc_protocol.DecisionMessage)
-    # Fast quorum is 4 of 5: the 4th accept chooses the option.
+    # Fast quorum is 4 of 5: the 4th accepting message chooses every option.
     events = AbortOnVote(coordinator, nth=4)
-    coordinator.execute(
-        TxRequest(txid="t1", writes=[WriteOp("x", 1, read_version=0)]), events
-    )
+    writes = [WriteOp(key, 1, read_version=0) for key in keys]
+    coordinator.execute(TxRequest(txid="t1", writes=writes), events)
     cluster.run()
     assert events.aborted is True
     assert events.decisions == [(Outcome.ABORTED, AbortReason.CLIENT)]
     assert broadcasts == ["t1"] * len(DCS)
     for node in cluster.storage_nodes.values():
-        assert "t1" not in node.store.record("x").pending
-        assert node.store.get("x").version == 0
+        for key in keys:
+            assert "t1" not in node.store.record(key).pending
+            assert node.store.get(key).version == 0
+
+
+def test_mdcc_abort_on_the_choosing_vote(monkeypatch):
+    abort_on_the_choosing_message(monkeypatch, ("x",))
+
+
+def test_mdcc_abort_on_the_message_choosing_two_records(monkeypatch):
+    abort_on_the_choosing_message(monkeypatch, ("x", "y"))
 
 
 def test_alternate_pattern_aborts_on_a_dooming_vote(monkeypatch):

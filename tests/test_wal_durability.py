@@ -91,7 +91,7 @@ def test_mdcc_votes_and_decisions_wait_for_durability(monkeypatch, batch_window_
     accepts = rejects = 0
     for node, vote, sent_at in audit.sends(mdcc.Phase2b):
         received_at = audit.received[(node, mdcc.Phase2a, vote.txid)]
-        if vote.accepted:
+        if any(accepted for _key, accepted in vote.votes):
             accepts += 1
             appended_at, durable_at = audit.durable[(node, "option", vote.txid)]
             assert appended_at == received_at
