@@ -185,11 +185,9 @@ def check_plan(payload: Any, source: str) -> Dict[str, Any]:
 
 
 def run_plan(payload: Dict[str, Any], with_history: bool = False) -> Dict[str, Any]:
-    """Execute a stored plan once (from a fresh txid counter); its row."""
+    """Execute a stored plan once; its row."""
     from repro.faults import FaultPlan
-    from repro.ops import reset_txid_counter
 
-    reset_txid_counter()
     return run_schedule(
         seed=int(payload["seed"]),
         duration_ms=float(payload["duration_ms"]),

@@ -11,16 +11,14 @@ through the process-wide obs capture, so a campaign worker can record its
 own cluster's history while (or without) a global capture is installed —
 the two compose instead of fighting over the one-capture-at-a-time slot.
 
-Like the flight recorder's digest, :meth:`History.digest` canonicalises
-counter-minted identifiers (``tx-17`` → ``tx#0`` by first appearance), so
-two runs of the same seeded schedule produce byte-identical digests even
-though the process-global txid counter differs between them.
+Like the flight recorder's digest, :meth:`History.digest` hashes ids raw:
+txids and session ids are minted per cluster, so two runs of the same
+seeded schedule produce byte-identical digests in any process.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -37,9 +35,6 @@ OP_KINDS = (
     "begin", "read", "write", "guess", "commit", "abort", "apology",
     "engine_decision", "xshard_vote",
 )
-
-_COUNTER_ID = re.compile(r"\b([A-Za-z]+)-(\d+)\b")
-
 
 @dataclass(frozen=True)
 class HistoryOp:
@@ -126,33 +121,13 @@ class History:
     def digest(self) -> str:
         """SHA-256 over the canonical serialisation of the operations.
 
-        Counter-minted identifiers are renamed to first-appearance
-        ordinals and floats formatted at fixed precision, so the digest is
-        a function of run *behaviour* only — same seeded schedule, same
+        Floats are formatted at fixed precision and ids hashed raw, so the
+        digest is a function of the seeded run only — same schedule, same
         digest, regardless of process history or worker placement.
         """
-        renames: Dict[str, str] = {}
-        # Each distinct text is canonicalised once.  Exact: after the first
-        # pass every counter id in the text has its ordinal, so a later
-        # pass over the same text could only produce the same string.
-        canonical: Dict[str, str] = {}
-
-        def canon_id(match: "re.Match[str]") -> str:
-            token = match.group(0)
-            renamed = renames.get(token)
-            if renamed is None:
-                renamed = f"{match.group(1)}#{len(renames)}"
-                renames[token] = renamed
-            return renamed
 
         def canon(value: Any) -> str:
-            text = f"{value:.6f}" if isinstance(value, float) else str(value)
-            if "-" not in text:  # every counter id has a hyphen
-                return text
-            result = canonical.get(text)
-            if result is None:
-                result = canonical[text] = _COUNTER_ID.sub(canon_id, text)
-            return result
+            return f"{value:.6f}" if isinstance(value, float) else str(value)
 
         hasher = hashlib.sha256()
         for op in self.ops:

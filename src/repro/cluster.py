@@ -77,6 +77,7 @@ class Cluster:
         self.storage_nodes: Dict[str, StorageNode] = {}
         self.coordinators: Dict[str, object] = {}
         self._session_counters: Dict[str, int] = {}
+        self._txids = 0
         self._build()
 
     # ------------------------------------------------------------------
@@ -166,6 +167,15 @@ class Cluster:
         n = self._session_counters.get(dc_name, 0)
         self._session_counters[dc_name] = n + 1
         return f"{dc_name}/s{n}"
+
+    def mint_txid(self, prefix: str = "tx") -> str:
+        """Mint a cluster-unique id, ``<prefix>-<n>``, counting from 1.
+
+        One counter shared by every prefix, so a run's ids are a function of
+        the run alone.  Their order is behaviour: relaxed-write slot
+        contests rank claimants by ``(len(txid), txid)``."""
+        self._txids += 1
+        return f"{prefix}-{self._txids}"
 
     def storage_node(self, dc_name: str) -> StorageNode:
         return self.storage_nodes[dc_name]

@@ -115,10 +115,7 @@ class PlanetSession:
         )
         # Stable per-cluster session identity, recorded on every history
         # event so the offline checker can verify per-session guarantees.
-        next_session_id = getattr(cluster, "next_session_id", None)
-        self.session_id = (
-            next_session_id(dc_name) if next_session_id is not None else f"{dc_name}/s0"
-        )
+        self.session_id = cluster.next_session_id(dc_name)
         self.finished: List[PlanetTransaction] = []
         # Per-key committed-version watermarks for read-your-writes.
         self._write_watermarks: Dict[str, int] = {}
@@ -136,7 +133,7 @@ class PlanetSession:
     # Public API
     # ------------------------------------------------------------------
     def transaction(self) -> PlanetTransaction:
-        tx = PlanetTransaction()
+        tx = PlanetTransaction(self.cluster.mint_txid())
         if self.config.default_timeout_ms is not None:
             tx.timeout_ms = self.config.default_timeout_ms
         if self.config.default_guess_threshold is not None:
@@ -145,6 +142,8 @@ class PlanetSession:
 
     def submit(self, tx: PlanetTransaction) -> PlanetTransaction:
         """Run the transaction; callbacks fire as the simulation advances."""
+        if tx.txid is None:
+            tx.txid = self.cluster.mint_txid()
         tx.waiter = Waiter()
         self.metrics.inc("submitted")
         gm = self.sim.metrics

@@ -59,7 +59,7 @@ class SpeculationManager(TxEvents):
             # One client-visible read per key, with the version actually
             # served (engines without version tracking report -1; the
             # checker skips those).  Sorted for a deterministic stream.
-            session_id = getattr(self.session, "session_id", "")
+            session_id = self.session.session_id
             versions = request.read_versions
             for key in sorted(request.read_results):
                 tracer.emit(
@@ -121,7 +121,7 @@ class SpeculationManager(TxEvents):
                 tracer.emit(
                     now, "history", "guess",
                     txid=tx.txid,
-                    session=getattr(self.session, "session_id", ""),
+                    session=self.session.session_id,
                     likelihood=likelihood,
                 )
             tx.callbacks.fire_guess(tx, likelihood)
@@ -142,7 +142,7 @@ class SpeculationManager(TxEvents):
             # precede its commit record, and both precede anything a commit
             # callback does (session bookkeeping runs before callbacks, so
             # a follow-up transaction's begin lands after this commit).
-            session_id = getattr(self.session, "session_id", "")
+            session_id = self.session.session_id
             if decision.committed:
                 for op in tx.writes:
                     if isinstance(op, WriteOp):

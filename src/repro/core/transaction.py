@@ -20,7 +20,6 @@ from repro.ops import (
     TxRequest,
     WriteLike,
     WriteOp,
-    next_txid,
     validate_isolation,
 )
 
@@ -53,7 +52,8 @@ class PlanetTransaction:
     """
 
     def __init__(self, txid: Optional[str] = None) -> None:
-        self.txid = txid if txid is not None else next_txid()
+        # None until the session that submits it mints one from its cluster.
+        self.txid = txid
         self.reads: List[str] = []
         self.writes: List[WriteLike] = []
         self.timeout_ms: Optional[float] = None

@@ -89,12 +89,17 @@ class ResultCache:
         return self.directory / experiment_id / f"{key}.json"
 
     def get(self, experiment_id: str, key: str) -> Optional[Dict[str, Any]]:
-        """The cached row for ``key``, or None (corrupt entries = miss)."""
+        """The cached row for ``key``, or None (corrupt entries = miss).
+
+        Corrupt means anything but a JSON object whose ``row`` is an object.
+        """
         path = self._path(experiment_id, key)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-            row = payload["row"]
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError):
+            payload = None
+        row = payload.get("row") if isinstance(payload, dict) else None
+        if not isinstance(row, dict):
             self.misses += 1
             return None
         self.hits += 1

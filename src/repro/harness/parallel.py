@@ -127,12 +127,6 @@ def _execute_point(
 ) -> Tuple[Dict[str, Any], Optional[List[Dict[str, Any]]], int]:
     """Run one point; returns (row, serialised obs records or None, and
     the executing process's peak RSS in bytes after the point ran)."""
-    from repro.ops import reset_txid_counter
-
-    # Txids must be a function of the point, not of process history, or a
-    # forked worker and a serial run would mint different ids and the trace
-    # digests would diverge.
-    reset_txid_counter()
     ctx = PointContext(seed=seed, scale=scale, overrides=overrides)
     # ``--set engine.backend=...`` selects the simulator kernel for the
     # point.  Wrapping here (not in run_sweep) covers serial and worker
@@ -215,9 +209,10 @@ def _emit_progress(name: str, **fields: Any) -> None:
 def _replay_records(index: int, records: List[Dict[str, Any]]) -> None:
     """Replay one point's forwarded records through the installed capture.
 
-    Worker pids restart at 1 in every process, so replay remints them from
-    the parent's counter (first-appearance order) — the digest ignores pids,
-    but the profiler and Chrome export need distinct simulators kept apart.
+    Pids restart at 1 with every capture, and a worker installs one per
+    point, so replay remints them from the parent's counter
+    (first-appearance order) — the digest ignores pids, but the profiler
+    and Chrome export need distinct simulators kept apart.
     """
     pid_map: Dict[int, int] = {}
     for payload in records:

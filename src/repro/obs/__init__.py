@@ -47,6 +47,7 @@ from repro.obs.events import (
     installed_categories,
     new_tracer,
     next_pid,
+    restart_pids,
     uninstall,
 )
 from repro.obs import metrics as _metrics_module
@@ -143,6 +144,9 @@ def session(
         )
     if sinks:
         install(sinks, categories=categories)
+    else:
+        # Metric labels carry simulator pids too: number them per session.
+        restart_pids()
     if registry is not None:
         _metrics_module.install(registry)
     try:

@@ -216,10 +216,12 @@ _bound_tracers: List[Tracer] = []
 def install(sinks: Iterable[Sink], categories: Optional[Iterable[str]] = None) -> None:
     """Start a process-wide capture: every Simulator created from now on
     traces into ``sinks``.  One capture at a time (captures own the global
-    namespace; nesting them would silently cross-wire digests)."""
+    namespace; nesting them would silently cross-wire digests).  Simulator
+    pids restart at 1, so two identical captures export identical traces."""
     global _installed_categories
     if _installed_sinks:
         raise RuntimeError("an obs capture is already installed")
+    restart_pids()
     _installed_sinks.extend(sinks)
     _installed_categories = frozenset(categories) if categories is not None else None
 
@@ -242,6 +244,12 @@ def capture_active() -> bool:
 def installed_categories() -> Optional[FrozenSet[str]]:
     """The active capture's category filter (None = everything, or inactive)."""
     return _installed_categories
+
+
+def restart_pids() -> None:
+    """Number the simulators created from now on from pid 1 again."""
+    global _pid_counter
+    _pid_counter = itertools.count(1)
 
 
 def next_pid() -> int:

@@ -8,28 +8,21 @@ digests, which pins down *every* instrumented decision in the stack —
 message timing, vote order, WAL syncs — far more tightly than comparing
 final aggregates.
 
-Transaction ids come from a process-global counter (``repro.ops``), so a
-second run in the same process sees different raw ids; the digest
-canonicalises every ``<word>-<number>`` identifier to its first-appearance
-ordinal, making it a function of run *behaviour* only.
+Every id a record carries (txids, session ids, node ids) is minted by the
+run itself, so the digest hashes them raw.
 """
 
 from __future__ import annotations
 
 import hashlib
-import re
 from collections import deque
-from typing import Any, Deque, Dict, List, Tuple, Union
+from typing import Any, Deque, List, Union
 
 from repro.obs.events import Sink, TraceEvent
 from repro.obs.metrics import current as current_metrics
 from repro.obs.spans import Span
 
 Record = Union[TraceEvent, Span]
-
-#: Counter-minted identifiers (``tx-17``, ``pay-3``, ``order-42``) that the
-#: digest renames to first-appearance ordinals.
-_COUNTER_ID = re.compile(r"\b([A-Za-z]+)-(\d+)\b")
 
 
 class FlightRecorder(Sink):
@@ -101,22 +94,9 @@ class FlightRecorder(Sink):
         Same seed ⇒ same digest, independent of process history (see module
         docstring) and of which simulator pid emitted what.
         """
-        renames: Dict[str, str] = {}
-
-        def canon_id(match: "re.Match[str]") -> str:
-            token = match.group(0)
-            renamed = renames.get(token)
-            if renamed is None:
-                renamed = f"{match.group(1)}#{len(renames)}"
-                renames[token] = renamed
-            return renamed
 
         def canon(value: Any) -> str:
-            if isinstance(value, float):
-                text = f"{value:.6f}"
-            else:
-                text = str(value)
-            return _COUNTER_ID.sub(canon_id, text)
+            return f"{value:.6f}" if isinstance(value, float) else str(value)
 
         hasher = hashlib.sha256()
         for record in self._records:

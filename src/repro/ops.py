@@ -9,7 +9,6 @@ PLANET layer observes protocol internals without the engines depending on it.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -84,25 +83,6 @@ def validate_isolation(level: str) -> str:
             f"unknown isolation level {level!r}; expected one of {ISOLATION_LEVELS}"
         )
     return level
-
-
-_txid_counter = itertools.count(1)
-
-
-def next_txid(prefix: str = "tx") -> str:
-    return f"{prefix}-{next(_txid_counter)}"
-
-
-def reset_txid_counter(start: int = 1) -> None:
-    """Restart txid numbering at ``start``.
-
-    The sweep executor calls this at the top of every grid point so a
-    point's txids are a function of the point alone, not of process
-    history — a forked worker and a serial run then mint identical ids,
-    which keeps trace digests byte-identical across ``--jobs`` values.
-    """
-    global _txid_counter
-    _txid_counter = itertools.count(start)
 
 
 @dataclass

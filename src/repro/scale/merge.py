@@ -10,8 +10,8 @@ mean.
 
 Everything here is order-stable: rows are re-sorted by shard index,
 counters fold with sorted keys, and the merged history digest hashes the
-per-shard digests (each already counter-canonicalised by
-:meth:`repro.check.history.History.digest`) in shard order.  Shuffling
+per-shard digests (each a :meth:`repro.check.history.History.digest`
+over the shard's raw, run-scoped ids) in shard order.  Shuffling
 the input rows — or producing them on any ``--jobs`` count — cannot
 change a byte of the output.
 """
@@ -137,8 +137,8 @@ def merge_shards(rows: List[Dict[str, Any]], plan: List[XTx]) -> Dict[str, Any]:
             counters[key] = counters.get(key, 0) + value
     metrics = {"counters": {key: counters[key] for key in sorted(counters)}}
 
-    # Merged history digest: per-shard digests (already canonicalised) in
-    # shard order.  One byte of any shard's history changes this.
+    # Merged history digest: per-shard digests in shard order.  One byte of
+    # any shard's history changes this.
     hasher = hashlib.sha256()
     for row in ordered:
         hasher.update(f"{int(row['shard']):04d}|{row['history_digest']}\n".encode())

@@ -11,7 +11,8 @@ byte-identical results at any ``--jobs`` count — and folds the rows with
 Determinism contract: everything a shard simulates is derived from the
 experiment's **root seed** and stable names (shard index, slice index,
 cross-shard gid) — never from which worker ran it, nor from how slices
-are grouped onto shards.
+are grouped onto shards.  Ids too: each shard's cluster mints its own
+txids from ``tx-1``, so the shard's history digest hashes them raw.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ def run_shard(
 
     The row carries everything the cross-shard merge needs: summed
     counters, the fixed-bin commit-latency histogram, the session
-    metrics snapshot, the (canonicalised) history digest, per-shard
+    metrics snapshot, the history digest (raw ids), per-shard
     checker violations, and this shard's cross-shard branch votes.
     """
     shard_seed = derive_seed(root_seed, f"scale.shard:{shard_index}")

@@ -15,7 +15,6 @@ from random import Random
 from typing import Optional
 
 from repro.core.transaction import PlanetTransaction
-from repro.ops import next_txid
 from repro.workload.keys import ZipfChooser
 
 
@@ -85,7 +84,8 @@ def build_payment_tx(session, spec: TpcwSpec, rng: Random) -> PlanetTransaction:
     customer = rng.randrange(spec.n_customers)
     amount = rng.randint(1, 50)
     tx.increment(f"balance:{customer}", -amount, floor=float("-inf"))
-    tx.write(f"payment:{next_txid('pay')}", {"customer": customer, "amount": amount})
+    payment_id = session.cluster.mint_txid("pay")
+    tx.write(f"payment:{payment_id}", {"customer": customer, "amount": amount})
     if spec.timeout_ms is not None:
         tx.with_timeout(spec.timeout_ms)
     if spec.guess_threshold is not None:
@@ -129,7 +129,7 @@ def build_checkout_tx(session, spec: TpcwSpec, rng: Random) -> PlanetTransaction
             tx.write(item_key, rng.randrange(spec.initial_stock))
         else:
             tx.increment(item_key, -1, floor=0.0)
-    order_id = next_txid("order")
+    order_id = session.cluster.mint_txid("order")
     tx.write(f"order:{order_id}", {"customer": customer, "items": items})
     if spec.timeout_ms is not None:
         tx.with_timeout(spec.timeout_ms)

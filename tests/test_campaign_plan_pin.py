@@ -20,8 +20,11 @@ from repro.check.campaign import load_plan, run_plan
 
 PLAN = Path(__file__).resolve().parents[1] / "examples" / "campaign_plan.json"
 
+# Re-pinned once when digests began hashing raw, run-scoped ids instead of
+# renaming counter ids; the renaming digest of this same history is still
+# 68210b8ad27bb965ee8aa098b8a6b162931f05f5b28954448765e15f0094b8e2.
 CAMPAIGN_PLAN_DIGEST = (
-    "68210b8ad27bb965ee8aa098b8a6b162931f05f5b28954448765e15f0094b8e2"
+    "a006f5fc51896ce2cbe4be56b403ca51b1b93c691ee4efcc589a9da45657c4fe"
 )
 
 

@@ -29,16 +29,8 @@ from repro.experiments import registry
 from repro.experiments.check_campaign import SPEC
 from repro.faults import FaultPlan
 from repro.harness.parallel import SweepOptions, run_sweep
-from repro.ops import reset_txid_counter
 
 EXAMPLE_PLAN = Path(__file__).resolve().parents[1] / "examples" / "campaign_plan.json"
-
-
-@pytest.fixture(autouse=True)
-def _fresh_txids():
-    # Campaign digests canonicalise txids, but keeping runs aligned makes
-    # failures easier to eyeball.
-    reset_txid_counter()
 
 
 class TestRunSchedule:
@@ -52,16 +44,39 @@ class TestRunSchedule:
 
     def test_schedule_digest_is_stable(self):
         first = run_schedule(12, duration_ms=3_000.0)
-        reset_txid_counter()
         second = run_schedule(12, duration_ms=3_000.0)
         assert first["digest"] == second["digest"]
+
+    def test_schedule_is_a_function_of_the_run_alone(self):
+        # A fresh interpreter and this one after 20 other schedules observe
+        # the same run: every id is minted per run, so the full metrics
+        # snapshot (net.bytes_sent included) and the history digest match.
+        measure = (
+            "from repro import obs\n"
+            "from repro.check.campaign import run_schedule\n"
+            "with obs.session(metrics=True) as s:\n"
+            "    row = run_schedule(3, duration_ms=2_000.0)\n"
+            "result = [s.metrics.snapshot(), row['digest']]\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        fresh = subprocess.run(
+            [sys.executable, "-c", measure + "import json; print(json.dumps(result))"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert fresh.returncode == 0, fresh.stderr
+        for seed in range(100, 120):
+            run_schedule(seed, duration_ms=2_000.0)
+        namespace = {}
+        exec(measure, namespace)
+        snapshot, digest = json.loads(fresh.stdout)
+        assert snapshot["counters"]["net.bytes_sent{kind=Phase2a}"] > 0
+        assert json.loads(json.dumps(namespace["result"])) == [snapshot, digest]
 
     def test_broken_build_caught(self):
         # The seeded mutation commits on any single accept; a handful of
         # schedules is enough for the quorum/lost-update invariants to fire.
         violations = []
         for seed in (1, 2, 3):
-            reset_txid_counter()
             row = run_schedule(seed, duration_ms=3_000.0, broken=True)
             violations.extend(row["violations"])
         assert violations, "checker missed the unsafe_skip_quorum_check mutation"
@@ -126,7 +141,6 @@ class TestCampaignExperiment:
         assert payload["seed"] == result.data["min_failing_seed"]
         assert payload["broken"] is True
         # The triage plan replays to the same failure.
-        reset_txid_counter()
         row = replay(payload)
         assert row["violations"]
         assert row["digest_stable"]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import Cluster
 from repro.core.errors import TransactionSealed
+from repro.core.session import PlanetSession
 from repro.core.stages import TxStage
 from repro.core.transaction import PlanetTransaction
 from repro.ops import AbortReason, Decision, DeltaOp, Outcome, WriteOp
@@ -66,7 +68,12 @@ class TestBuilder:
             tx.with_timeout(10.0)
 
     def test_unique_txids(self):
-        assert PlanetTransaction().txid != PlanetTransaction().txid
+        session = PlanetSession(Cluster(), "us_west")
+        assert session.transaction().txid != session.transaction().txid
+        bare = PlanetTransaction().write("k", 1)
+        assert bare.txid is None  # minted by the session that submits it
+        session.submit(bare)
+        assert bare.txid == "tx-3"
 
     def test_to_request_copies_ops(self):
         tx = PlanetTransaction().read("a").write("b", 1).with_timeout(250.0)
@@ -120,5 +127,5 @@ class TestRuntimeAccessors:
         assert not tx.was_guessed
 
     def test_repr(self):
-        tx = PlanetTransaction()
+        tx = PlanetTransaction("tx-1")
         assert tx.txid in repr(tx)

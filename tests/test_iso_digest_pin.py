@@ -17,20 +17,21 @@ from __future__ import annotations
 
 from repro import obs
 from repro.check.history import HistoryRecorder
-from repro.ops import reset_txid_counter
 from repro.experiments.common import microbench_run
 
 # Digest of the f7_guess_vs_commit primary run (seed 11), recorded before
 # the isolation-level work landed and re-pinned once when MDCC moved to one
 # Phase2a/Phase2b per replica per transaction (the previous digest was
-# fd4dbdf0aa54e1edeeb0a0398a375044961be62b76f013493852dd8bf377675c).
+# fd4dbdf0aa54e1edeeb0a0398a375044961be62b76f013493852dd8bf377675c), and
+# once more when digests began hashing raw, run-scoped ids instead of
+# renaming counter ids: the renaming digest of this same history is still
+# 592e4038f5267ab7ecfb605f247dbf716b97a6ac2a9c7ba44a348539263cea35.
 F7_SERIALIZABLE_DIGEST = (
-    "592e4038f5267ab7ecfb605f247dbf716b97a6ac2a9c7ba44a348539263cea35"
+    "e159fde22bf5830925f5a5cf4ba81fc24ae99f1dcdf4d0f132b07b20670f72df"
 )
 
 
 def test_f7_serializable_history_digest_is_pinned():
-    reset_txid_counter()
     recorder = HistoryRecorder()
     with obs.session(recorder):
         microbench_run(

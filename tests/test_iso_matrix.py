@@ -9,7 +9,6 @@ yields predicted-but-not-observed lost updates.
 from __future__ import annotations
 
 from repro.experiments.iso_matrix import CONTENTION, FAULTS, LEVELS, run_iso_point
-from repro.ops import reset_txid_counter
 
 
 def test_grid_constants_cover_the_matrix():
@@ -48,8 +47,6 @@ def test_point_is_deterministic():
         seed=9, isolation="read-committed", contention="high", fault="none",
         duration_ms=1_500.0,
     )
-    reset_txid_counter()
     first = run_iso_point(**kwargs)
-    reset_txid_counter()
     second = run_iso_point(**kwargs)
     assert first == second

@@ -85,9 +85,6 @@ class TestDelivery:
     def test_message_kind(self):
         assert Ping().kind == "Ping"
 
-    def test_message_ids_unique(self):
-        assert Ping().msg_id != Ping().msg_id
-
 
 class TestLoss:
     def test_loss_probability_drops_messages(self):

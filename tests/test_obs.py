@@ -157,8 +157,8 @@ class TestFlightRecorder:
         assert recorder.seen_events == recorder.seen_spans == 4
         assert len(recorder.spans()) == 2  # interleaved tail retained
 
-    def test_digest_ignores_counter_identity(self):
-        # Identical behaviour under renamed counter ids ⇒ identical digest.
+    def test_digest_hashes_raw_ids(self):
+        # Ids are minted per run, so renaming one is a different trace.
         a, b = FlightRecorder(), FlightRecorder()
         for recorder, base in ((a, 1), (b, 900)):
             tracer = Tracer()
@@ -166,7 +166,7 @@ class TestFlightRecorder:
             tracer.emit(1.0, "tx", "decision", txid=f"tx-{base}", outcome="committed")
             tracer.span(0.0, 1.0, "stage", "reading", track=f"tx-{base}")
             tracer.emit(2.0, "tx", "decision", txid=f"tx-{base + 1}", outcome="aborted")
-        assert a.digest() == b.digest()
+        assert a.digest() != b.digest()
 
     def test_digest_sensitive_to_behaviour(self):
         a, b = FlightRecorder(), FlightRecorder()
@@ -211,6 +211,21 @@ class TestChromeExport:
             assert isinstance(event["cat"], str) and event["cat"]
             if event["ph"] == "X":
                 assert event["dur"] >= 0.0
+
+    def test_identical_captures_export_identical_traces(self):
+        # Pids restart with every capture, so nothing of the first capture
+        # shows in the second one's export.
+        from repro.check.campaign import run_schedule
+
+        def export():
+            recorder = FlightRecorder(capacity=1_000_000)
+            with obs.session(recorder):
+                run_schedule(3, duration_ms=1_000.0)
+            return json.dumps(obs.chrome_trace(recorder.records()), sort_keys=True)
+
+        first, second = export(), export()
+        assert '"pid": 1' in first
+        assert first == second
 
     def test_trace_covers_the_protocol_stack(self):
         recorder = self._recorded_run()

@@ -13,16 +13,10 @@ from repro.ops import (
     Outcome,
     TxRequest,
     WriteOp,
-    next_txid,
 )
 
 
 class TestOps:
-    def test_next_txid_unique_and_prefixed(self):
-        a, b = next_txid("x"), next_txid("x")
-        assert a != b
-        assert a.startswith("x-")
-
     def test_tx_request_write_keys(self):
         request = TxRequest(
             txid="t", writes=[WriteOp("a", 1), DeltaOp("b", -1)]
@@ -50,6 +44,13 @@ class TestClusterAssembly:
         assert cluster.datacenter_names == [
             "us_west", "us_east", "ireland", "singapore", "tokyo",
         ]
+
+    def test_mint_txid_counts_per_cluster_across_prefixes(self):
+        cluster = Cluster()
+        assert [cluster.mint_txid(), cluster.mint_txid("pay"), cluster.mint_txid()] == [
+            "tx-1", "pay-2", "tx-3",
+        ]
+        assert Cluster().mint_txid() == "tx-1"  # a new run starts over
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):

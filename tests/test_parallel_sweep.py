@@ -254,6 +254,15 @@ class TestResultCache:
         assert redone.cache_hits == 0
         assert redone.result.all_checks_pass
 
+    @pytest.mark.parametrize("text", ["[1]", "1", "null", '{"row": 5}'])
+    def test_well_formed_json_that_is_not_an_entry_is_a_miss(self, tmp_path, text):
+        _sweep(jobs=1, options={"cache": ResultCache(tmp_path)})
+        entries = sorted((tmp_path / "zz_sweep_fixture").glob("*.json"))
+        entries[0].write_text(text)
+        redone = _sweep(jobs=1, options={"cache": ResultCache(tmp_path)})
+        assert (redone.cache_hits, redone.cache_misses) == (len(entries) - 1, 1)
+        assert redone.result.all_checks_pass
+
     def test_capture_bypasses_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         recorder = obs.FlightRecorder()
